@@ -285,10 +285,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "memcachedsim: %v\n", err)
 		os.Exit(1)
 	}
+	// The handler goes in before the announcement: whoever reads "listening
+	// on" may signal at once, and an unhandled SIGTERM kills without a drain.
+	sig := shutdownSignals()
 	fmt.Printf("memcachedsim: engine=%s lock=%s shards=%d lanes=%d front-cache=%v listening on %s (ctrl-c or SIGTERM to stop)\n",
 		*engine, *lock, len(sups), *writeLanes, *frontCache, srv.Addr())
 
-	<-shutdownSignals()
+	<-sig
 	fmt.Println(shutdown(srv, backend, sups, traceFile))
 }
 

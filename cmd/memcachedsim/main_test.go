@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"os/exec"
 	"os/signal"
 	"strings"
 	"syscall"
@@ -14,6 +15,56 @@ import (
 	"clobbernvm/internal/harness"
 	"clobbernvm/internal/memcache"
 )
+
+// serverChildEnv makes the test binary run the server's main instead of the
+// tests, so a test can signal the real process.
+const serverChildEnv = "MEMCACHEDSIM_TEST_CHILD"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(serverChildEnv) != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestSIGTERMRightAfterAnnouncement signals the server the moment it prints
+// its listening line — what a supervisor that waits for readiness does. The
+// handler must already be installed: the process drains and exits 0 instead
+// of dying of the signal.
+func TestSIGTERMRightAfterAnnouncement(t *testing.T) {
+	for try := 0; try < 5; try++ {
+		cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-debug-addr", "", "-pool-mb", "64")
+		cmd.Env = append(os.Environ(), serverChildEnv+"=1")
+		out, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd.Stderr = os.Stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		lines := bufio.NewScanner(out)
+		announced, done := false, false
+		for lines.Scan() {
+			switch line := lines.Text(); {
+			case strings.Contains(line, "listening on"):
+				announced = true
+				if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+					t.Fatal(err)
+				}
+			case strings.Contains(line, "memcachedsim: done"):
+				done = true
+			}
+		}
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("try %d: server did not survive SIGTERM after its announcement: %v", try, err)
+		}
+		if !announced || !done {
+			t.Fatalf("try %d: announced=%v, final stats line printed=%v", try, announced, done)
+		}
+	}
+}
 
 // TestShutdownSignalsDeliverSIGTERM pins the orchestrator contract: SIGTERM
 // must reach the shutdown channel instead of killing the process outright,

@@ -37,7 +37,7 @@ func tornState(t *testing.T) (*nvm.Pool, uint64, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Create(p, a, Options{Slots: 2, DataLogCap: 1 << 16, ArgsCap: 1024, AllocLogCap: 64, FreeLogCap: 64})
+	e, err := Create(p, a, Options{Slots: 2, DataLogCap: 1 << 16, ArgsCap: 1024, FreeLogCap: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestRecoveryTreatsTornBeginAsIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Create(p, a, Options{Slots: 2, DataLogCap: 1 << 16, ArgsCap: 1024, AllocLogCap: 64, FreeLogCap: 64})
+	e, err := Create(p, a, Options{Slots: 2, DataLogCap: 1 << 16, ArgsCap: 1024, FreeLogCap: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@
 // Log layout per worker slot (fixed table, one slot per thread, matching the
 // paper's per-thread v_log):
 //
-//	status word   seq<<2 | phase   (idle / ongoing / freeing)
+//	status word   seq<<2 | phase   (committed, which doubles as idle / ongoing)
 //	v_log         txfunc name + encoded args + checksum, in a pre-allocated
 //	              buffer — one entry, hence exactly two fences per
 //	              transaction (begin and commit), the property §5.3 credits
@@ -38,10 +38,15 @@
 //	clobber_log   a plog.DataLog of (addr, old bytes) records, one fence per
 //	              entry (built over the same log subsystem as the PMDK-style
 //	              undo engine, as in the paper)
-//	alloc log     best-effort record of transactional allocations, reclaimed
-//	              before re-execution so re-executed pmallocs do not leak
-//	free log      deferred frees, applied only after commit so interrupted
-//	              transactions can still read the memory they freed
+//
+// Allocation has no log here. pmalloc only reserves from the allocator's
+// volatile mirror of the slot's arena and free only queues; commit publishes
+// one allocator redo record ahead of the commit fence, conditioned on this
+// slot's status word, and applies it after the committed status is durable
+// (see package pmem). An interrupted transaction therefore never touched the
+// persistent heap: its blocks vanish with the crash, the memory it freed is
+// still there for the re-execution to read, and recovery has nothing to
+// reclaim.
 package clobber
 
 import (
@@ -58,23 +63,22 @@ import (
 )
 
 const (
+	// phaseIdle is the committed state of the slot's last transaction; it is
+	// the phase pmem's commit condition reads as "committed".
 	phaseIdle    = 0
 	phaseOngoing = 1
-	phaseFreeing = 2
 
 	anchorMagic = 0x434c4f4252 // "CLOBR"
 
 	maxNameLen = 64
 
 	// Slot header field offsets.
-	offStatus         = 0
-	offNameLen        = 8
-	offName           = 16
-	offArgsLen        = 16 + maxNameLen
-	offVLogChecksum   = offArgsLen + 8
-	offFreeApplied    = offVLogChecksum + 8
-	offReclaimApplied = offFreeApplied + 8
-	offArgs           = 128
+	offStatus       = 0
+	offNameLen      = 8
+	offName         = 16
+	offArgsLen      = 16 + maxNameLen
+	offVLogChecksum = offArgsLen + 8
+	offArgs         = 128
 )
 
 // rootSlot is the pool root slot anchoring this engine's slot table.
@@ -88,10 +92,9 @@ type Options struct {
 	ArgsCap uint64
 	// DataLogCap is the per-slot clobber_log capacity (default 1 MiB).
 	DataLogCap uint64
-	// AllocLogCap / FreeLogCap bound per-transaction allocs and frees
-	// (default 4096 each).
-	AllocLogCap int
-	FreeLogCap  int
+	// FreeLogCap bounds the frees of one transaction (default 4096): it
+	// sizes the slot's allocator redo record.
+	FreeLogCap int
 	// Conservative disables the dependency-analysis refinements
 	// (Fig 13 baseline).
 	Conservative bool
@@ -117,9 +120,6 @@ func (o *Options) fill() {
 	}
 	if o.DataLogCap == 0 {
 		o.DataLogCap = 1 << 20
-	}
-	if o.AllocLogCap == 0 {
-		o.AllocLogCap = 4096
 	}
 	if o.FreeLogCap == 0 {
 		o.FreeLogCap = 4096
@@ -155,9 +155,8 @@ type slot struct {
 	id   int
 	hdr  uint64 // slot block base address
 	dlog *plog.DataLog
-	alog *plog.AddrLog
-	flog *plog.AddrLog
-	seq  uint64 // volatile cache of the last used sequence number
+	tx   *pmem.Tx // the slot's arena: reservations of the running transaction
+	seq  uint64   // volatile cache of the last used sequence number
 
 	// ftab is the per-slot access-map table, reused across transactions so
 	// the tracking structures are allocated once per worker, not per txn.
@@ -165,6 +164,8 @@ type slot struct {
 	// vbuf stages the v_log entry so begin issues one Store for the whole
 	// header+args block instead of one per field.
 	vbuf []byte
+	// old stages a clobber entry's pre-store bytes.
+	old []byte
 
 	// quarantined, when non-nil, records why attach or recovery set this
 	// slot aside (log corruption). The slot's persistent state is left
@@ -190,9 +191,7 @@ func Create(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
 
 	hdrSize := uint64(offArgs) + opts.ArgsCap
 	dlogOff := align8(hdrSize)
-	alogOff := dlogOff + plog.DataLogSize(opts.DataLogCap)
-	flogOff := alogOff + plog.AddrLogSize(opts.AllocLogCap)
-	slotSize := flogOff + plog.AddrLogSize(opts.FreeLogCap)
+	slotSize := dlogOff + plog.DataLogSize(opts.DataLogCap)
 
 	for i := 0; i < opts.Slots; i++ {
 		base, err := a.Alloc(i, slotSize)
@@ -206,8 +205,10 @@ func Create(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
 			id:   i,
 			hdr:  base,
 			dlog: plog.FormatDataLogMode(p, i, base+dlogOff, opts.DataLogCap, opts.LineLog),
-			alog: plog.FormatAddrLog(p, i, base+alogOff, opts.AllocLogCap),
-			flog: plog.FormatAddrLog(p, i, base+flogOff, opts.FreeLogCap),
+			tx:   a.Tx(i),
+		}
+		if err := s.tx.Bind(base+offStatus, opts.FreeLogCap); err != nil {
+			return nil, fmt.Errorf("clobber: create slot %d: %w", i, err)
 		}
 		e.slots = append(e.slots, s)
 		p.Store64(anchor+24+uint64(i)*8, base)
@@ -248,26 +249,14 @@ func Attach(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
 	dlogOff := align8(hdrSize)
 	for i := 0; i < n; i++ {
 		base := p.Load64(anchor + 24 + uint64(i)*8)
-		s := &slot{id: i, hdr: base}
+		s := &slot{id: i, hdr: base, tx: a.Tx(i)}
 		e.slots = append(e.slots, s)
 		dlog, err := plog.AttachDataLog(p, i, base+dlogOff)
 		if err != nil {
 			e.quarantine(s, fmt.Errorf("clobber: slot %d: %w", i, err))
 			continue
 		}
-		alogOff := dlogOff + plog.DataLogSize(dlogCapOf(p, base+dlogOff))
-		alog, err := plog.AttachAddrLog(p, i, base+alogOff)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("clobber: slot %d: %w", i, err))
-			continue
-		}
-		flogOff := alogOff + plog.AddrLogSize(int(alogCapOf(p, base+alogOff)))
-		flog, err := plog.AttachAddrLog(p, i, base+flogOff)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("clobber: slot %d: %w", i, err))
-			continue
-		}
-		s.dlog, s.alog, s.flog = dlog, alog, flog
+		s.dlog = dlog
 		s.seq = p.Load64(base+offStatus) >> 2
 	}
 	return e, nil
@@ -280,9 +269,6 @@ func (e *Engine) quarantine(s *slot, err error) {
 		e.stats.Quarantined.Add(1)
 	}
 }
-
-func dlogCapOf(p *nvm.Pool, base uint64) uint64 { return p.Load64(base + 8) }
-func alogCapOf(p *nvm.Pool, base uint64) uint64 { return p.Load64(base + 8) }
 
 func align8(x uint64) uint64 { return (x + 7) &^ 7 }
 
@@ -337,15 +323,17 @@ func (e *Engine) runLocked(s *slot, name string, args *txn.Args, fn txn.TxFunc, 
 	sp.BeginDone(seq)
 	s.seq = seq
 	s.dlog.Reset()
-	s.alog.Reset()
-	s.flog.Reset()
 
 	m := newMem(e, s, seq)
+	// Whatever way the txfunc leaves without committing — error, panic,
+	// simulated crash — its reservations are dropped and the arena released.
+	defer s.tx.Abort()
 	if err := fn(m, args); err != nil {
 		if m.stored {
 			panic(fmt.Errorf("%w: txfunc %q: %v", ErrDirtyAbort, name, err))
 		}
-		// No persistent effects yet: the transaction trivially aborts.
+		// No persistent effects yet: the transaction trivially aborts, and
+		// the blocks it reserved go back with it.
 		e.setStatus(s, seq, phaseIdle)
 		sp.Aborted()
 		return err
@@ -427,19 +415,31 @@ func vlogChecksum(seq uint64, name string, enc []byte) uint64 {
 	return h
 }
 
-// commit flushes the transaction's outputs, marks the transaction committed
-// (one fence), then applies deferred frees.
+// commit flushes the transaction's outputs together with its allocator
+// record (one fence), marks the transaction committed (one fence) — which is
+// what commits the record too — and then applies the record to the heap,
+// unfenced: the next begin's fence retires it, and until then recovery can
+// re-apply it.
 func (e *Engine) commit(s *slot, seq uint64, m *mem, sp *obs.Span) {
 	p := e.pool
 	p.FlushOptLines(m.t.dirty)
+	if m.fenced {
+		// The previous transaction's apply is retired; otherwise Publish
+		// pays the fence for it.
+		s.tx.Retired()
+	}
+	if e.opts.DisableVLog {
+		// The status word is never written: the record commits with this
+		// fence.
+		s.tx.Publish(0)
+	} else {
+		s.tx.Publish(seq)
+	}
 	p.CommitFence()
 	sp.FlushFence(len(m.t.dirty))
 
-	if m.frees > 0 {
-		e.setStatus(s, seq, phaseFreeing)
-		e.applyFrees(s, seq, 0)
-	}
 	e.setStatus(s, seq, phaseIdle)
+	s.tx.Apply()
 }
 
 func (e *Engine) setStatus(s *slot, seq uint64, phase uint64) {
@@ -449,26 +449,6 @@ func (e *Engine) setStatus(s *slot, seq uint64, phase uint64) {
 	p := e.pool
 	p.Store64(s.hdr+offStatus, seq<<2|phase)
 	p.CommitPersist(s.hdr+offStatus, 8)
-}
-
-// applyFrees performs the deferred frees recorded in the free log, bumping a
-// persistent progress counter *before* each free so a crash can only leak,
-// never double-free.
-func (e *Engine) applyFrees(s *slot, seq uint64, from uint64) {
-	e.applyFreeList(s, s.flog.Scan(seq), from)
-}
-
-func (e *Engine) applyFreeList(s *slot, addrs []uint64, from uint64) {
-	p := e.pool
-	for i := from; i < uint64(len(addrs)); i++ {
-		p.Store64(s.hdr+offFreeApplied, i+1)
-		p.CommitPersist(s.hdr+offFreeApplied, 8)
-		if err := e.alloc.Free(addrs[i]); err != nil {
-			// A corrupt free is a programming error surfaced at commit;
-			// leaking is the only safe continuation.
-			continue
-		}
-	}
 }
 
 // RunRO implements txn.Engine. Clobber-NVM does not interpose on reads (its
@@ -493,16 +473,15 @@ type slotOutcome int
 const (
 	outcomeIdle slotOutcome = iota
 	outcomeReexecuted
-	outcomeFreesResumed
 	outcomeQuarantined
 )
 
 // RecoverReport implements txn.RecoveryReporter (§4.3, hardened). For every
 // slot with an ongoing transaction it (1) restores clobbered inputs from the
-// clobber_log, (2) reclaims the interrupted execution's allocations,
-// (3) re-executes the transaction via the registered txfunc with the
-// arguments restored from the v_log. Slots interrupted while applying
-// deferred frees resume them.
+// clobber_log and (2) re-executes the transaction via the registered txfunc
+// with the arguments restored from the v_log. The heap needs no step of its
+// own: pmem.Attach has already settled every arena by its redo records,
+// discarding the interrupted execution's and completing the committed ones.
 //
 // Corrupt logs never panic: a slot whose v_log or clobber_log fails
 // validation is quarantined — its persistent state is left untouched and
@@ -553,8 +532,6 @@ func (e *Engine) RecoverReport() (txn.RecoveryReport, error) {
 			case outcomeReexecuted:
 				rep.Recovered++
 				rep.Reexecuted++
-			case outcomeFreesResumed:
-				rep.FreesResumed++
 			}
 			if err != nil && out != outcomeQuarantined && firstErr == nil {
 				firstErr = err
@@ -585,18 +562,6 @@ func (e *Engine) recoverSlot(s *slot) (slotOutcome, error) {
 	switch phase {
 	case phaseIdle:
 		return outcomeIdle, nil
-	case phaseFreeing:
-		// The transaction had committed; only its deferred frees remain.
-		// The commit fence ordered every free-log entry before the freeing
-		// status, so the strict scan's valid-after-invalid test is sound.
-		addrs, err := s.flog.ScanStrict(seq)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("clobber: slot %d: free log: %w", s.id, err))
-			return outcomeQuarantined, s.quarantined
-		}
-		e.applyFreeList(s, addrs, p.Load64(s.hdr+offFreeApplied))
-		e.setStatus(s, seq, phaseIdle)
-		return outcomeFreesResumed, nil
 	case phaseOngoing:
 		// Handled below.
 	default:
@@ -668,20 +633,7 @@ func (e *Engine) recoverSlot(s *slot) (slotOutcome, error) {
 		p.Fence()
 	}
 
-	// 2. Reclaim the interrupted execution's allocations so re-execution
-	// does not leak. Progress counter first: crash here leaks, never
-	// double-frees. (Plain scan: the alloc log is best-effort/unfenced, so
-	// the strict scan's soundness argument does not apply to it.)
-	allocs := s.alog.Scan(seq)
-	for i := p.Load64(s.hdr + offReclaimApplied); i < uint64(len(allocs)); i++ {
-		p.Store64(s.hdr+offReclaimApplied, i+1)
-		p.Persist(s.hdr+offReclaimApplied, 8)
-		if err := e.alloc.Free(allocs[i]); err != nil {
-			continue
-		}
-	}
-
-	// 3. Re-execute.
+	// 2. Re-execute.
 	args, err := txn.DecodeArgs(enc)
 	if err != nil {
 		e.quarantine(s, fmt.Errorf("%w: clobber slot %d: undecodable v_log args: %v", txn.ErrCorruptLog, s.id, err))
@@ -704,7 +656,7 @@ type SlotStatus struct {
 	Slot int
 	// Seq is the slot's current transaction sequence number.
 	Seq uint64
-	// Phase is "idle", "ongoing" or "freeing".
+	// Phase is "idle" or "ongoing".
 	Phase string
 	// TxFunc is the v_log-recorded function name (ongoing slots only).
 	TxFunc string
@@ -738,8 +690,6 @@ func (e *Engine) SlotStatuses() []SlotStatus {
 			}
 			st.ArgBytes = int(p.Load64(s.hdr + offArgsLen))
 			st.ClobberEntries = len(s.dlog.Scan(seq))
-		case phaseFreeing:
-			st.Phase = "freeing"
 		default:
 			st.Phase = "idle"
 		}

@@ -17,17 +17,20 @@ const listHeadSlot = 2
 // Figure 2 list insertion: one clobber write (the head pointer).
 func registerPush(e txn.Engine, headAddr uint64) {
 	e.Register("push", func(m txn.Mem, args *txn.Args) error {
-		val := args.Uint64(0)
-		node, err := m.Alloc(16)
-		if err != nil {
-			return err
-		}
-		m.Store64(node, val)
-		next := m.Load64(headAddr) // head is read here ...
-		m.Store64(node+8, next)
-		m.Store64(headAddr, node) // ... and clobbered here
-		return nil
+		return push(m, headAddr, args.Uint64(0))
 	})
+}
+
+func push(m txn.Mem, headAddr, val uint64) error {
+	node, err := m.Alloc(16)
+	if err != nil {
+		return err
+	}
+	m.Store64(node, val)
+	next := m.Load64(headAddr) // head is read here ...
+	m.Store64(node+8, next)
+	m.Store64(headAddr, node) // ... and clobbered here
+	return nil
 }
 
 func listValues(p *nvm.Pool, headAddr uint64) []uint64 {
@@ -258,7 +261,7 @@ func TestRecoverReexecutesInterrupted(t *testing.T) {
 	// the last one (the clobbering head update).
 	crashDuring(t, p, func() error {
 		return e.Run(0, "push", txn.NewArgs().PutUint64(4))
-	}, pushStores(t, 3)-1)
+	}, pushStores(t, 3))
 
 	e2 := reopen(t, p)
 	registerPush(e2, head)
@@ -279,17 +282,21 @@ func TestRecoverReexecutesInterrupted(t *testing.T) {
 	}
 }
 
-// pushStores replays prior pushes on a scratch pool and returns the number
-// of Store events the next push performs. Crash-placement tests derive their
-// ordinals from it, so store-batching changes in the engine move the crash
-// point with the layout instead of sliding it past the end of the
-// transaction. The final store of a push is the commit-status write; the one
-// before it is the txfunc's clobbering head update.
+// pushStores replays prior pushes on a scratch pool and returns the ordinal,
+// among the next push's Store events, of the txfunc's last store: the
+// clobbering head update. Crash-placement tests derive their ordinals from
+// it, so store-batching changes in the engine move the crash point with the
+// layout instead of sliding it past the end of the transaction.
 func pushStores(t *testing.T, prior uint64) int64 {
 	t.Helper()
 	p, e := newEngine(t, Options{})
 	head := p.RootSlot(listHeadSlot)
-	registerPush(e, head)
+	var last int64
+	e.Register("push", func(m txn.Mem, args *txn.Args) error {
+		err := push(m, head, args.Uint64(0))
+		last = p.PersistPoints(nvm.CrashAtStore)
+		return err
+	})
 	for i := uint64(1); i <= prior; i++ {
 		if err := e.Run(0, "push", txn.NewArgs().PutUint64(i)); err != nil {
 			t.Fatal(err)
@@ -299,7 +306,7 @@ func pushStores(t *testing.T, prior uint64) int64 {
 	if err := e.Run(0, "push", txn.NewArgs().PutUint64(prior+1)); err != nil {
 		t.Fatal(err)
 	}
-	return p.PersistPoints(nvm.CrashAtStore)
+	return last
 }
 
 // crashDuring arms the crash at the nth store and runs f, requiring the
@@ -606,3 +613,192 @@ func TestConcurrentSlots(t *testing.T) {
 		}
 	}
 }
+
+// A txfunc that allocates and then fails before its first store aborts
+// trivially; the blocks it reserved must go back, whichever path they came
+// from (free list, bump, huge).
+func TestAbortAfterAllocDoesNotLeak(t *testing.T) {
+	_, e := newEngine(t, Options{})
+	errNope := errors.New("nope")
+	e.Register("allocfail", func(m txn.Mem, args *txn.Args) error {
+		for _, size := range []uint64{16, 16, 300, 5000, 70000} {
+			if _, err := m.Alloc(size); err != nil {
+				return err
+			}
+		}
+		return errNope
+	})
+	e.Register("churn", func(m txn.Mem, args *txn.Args) error {
+		a, err := m.Alloc(16)
+		if err != nil {
+			return err
+		}
+		m.Store64(a, 1)
+		return m.Free(a)
+	})
+	// Leave a block on slot 0's free list and take the first refill, so the
+	// aborts below start from a settled heap.
+	if err := e.Run(0, "churn", txn.NoArgs); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(0, "allocfail", txn.NoArgs); !errors.Is(err, errNope) {
+		t.Fatal(err)
+	}
+	reserve := func() uint64 {
+		rep, err := e.Allocator().Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.FreeBytes + rep.BumpReserve + rep.HugeFreeBytes + rep.CentralReserve
+	}
+	before := reserve()
+	for i := 0; i < 1000; i++ {
+		if err := e.Run(0, "allocfail", txn.NoArgs); !errors.Is(err, errNope) {
+			t.Fatal(err)
+		}
+	}
+	if after := reserve(); after != before {
+		t.Fatalf("1000 aborted transactions leaked %d bytes", before-after)
+	}
+	if err := e.Run(0, "churn", txn.NoArgs); err != nil {
+		t.Fatalf("slot unusable after aborts: %v", err)
+	}
+}
+
+// A block freed twice — inside one transaction, or again by a later one —
+// goes on its free list once: the second Free fails with pmem.ErrBadFree and
+// the heap stays sound.
+func TestDoubleFreeRejected(t *testing.T) {
+	_, e := newEngine(t, Options{})
+	var second error
+	e.Register("freeTwice", func(m txn.Mem, args *txn.Args) error {
+		addr := args.Uint64(0)
+		if err := m.Free(addr); err != nil {
+			second = err
+			return nil
+		}
+		second = m.Free(addr)
+		return nil
+	})
+	for _, size := range []uint64{16, 70000} {
+		addr, err := e.Allocator().Alloc(0, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			if err := e.Run(0, "freeTwice", txn.NewArgs().PutUint64(addr)); err != nil {
+				t.Fatal(err)
+			}
+			if !errors.Is(second, pmem.ErrBadFree) {
+				t.Fatalf("size %d round %d: repeated Free = %v, want ErrBadFree", size, round, second)
+			}
+		}
+		if _, err := e.Allocator().Check(); err != nil {
+			t.Fatalf("size %d: %v", size, err)
+		}
+		// The block comes back once.
+		first, _ := e.Allocator().Alloc(0, size)
+		again, _ := e.Allocator().Alloc(0, size)
+		if first != addr || again == addr {
+			t.Fatalf("size %d: freed block %#x then allocated %#x and %#x", size, addr, first, again)
+		}
+	}
+}
+
+// Huge blocks are reserved, published and applied like small ones: a crash
+// at any persist point of a transaction that allocates one and frees another
+// leaves the old blob or the new one, the other block free, and at most the
+// span being grabbed from the central region at that instant leaked.
+func TestCrashSweepHugeBlocks(t *testing.T) {
+	const size = 70000
+	registerSwap := func(e *Engine, root uint64) {
+		e.Register("swap", func(m txn.Mem, args *txn.Args) error {
+			old := m.Load64(root)
+			blob, err := m.Alloc(size)
+			if err != nil {
+				return err
+			}
+			m.Store64(blob, args.Uint64(0))
+			m.Store64(blob+size-8, args.Uint64(0))
+			m.Store64(root, blob)
+			if old == 0 {
+				return nil
+			}
+			return m.Free(old)
+		})
+	}
+	unowned := func(e *Engine, p *nvm.Pool) (uint64, *pmem.CheckReport) {
+		rep, err := e.Allocator().Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Size() - rep.FreeBytes - rep.HugeFreeBytes - rep.BumpReserve - rep.CentralReserve, rep
+	}
+	leaks := 0
+	for n := int64(1); ; n++ {
+		p, e := newEngine(t, Options{})
+		root := p.RootSlot(listHeadSlot)
+		registerSwap(e, root)
+		if err := e.Run(0, "swap", txn.NewArgs().PutUint64(1)); err != nil {
+			t.Fatal(err)
+		}
+		before, _ := unowned(e, p)
+
+		p.ScheduleCrashAt(nvm.CrashAtAny, n)
+		fired := false
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					if !errors.Is(asErr(r), nvm.ErrCrash) {
+						panic(r)
+					}
+					fired = true
+				}
+			}()
+			_ = e.Run(0, "swap", txn.NewArgs().PutUint64(2))
+		}()
+		if !fired {
+			p.ScheduleCrash(0)
+			if n < 20 {
+				t.Fatalf("only %d persist points", n)
+			}
+			// The grab is a handful of persist points among them: the
+			// central cursor's store up to the fence of the record that
+			// lists the span.
+			if leaks > 8 {
+				t.Fatalf("%d of %d crash points leaked a huge block", leaks, n-1)
+			}
+			break
+		}
+
+		e2 := reopen(t, p)
+		registerSwap(e2, root)
+		if _, err := e2.Recover(); err != nil {
+			t.Fatalf("crash@%d: %v", n, err)
+		}
+		blob := p.Load64(root)
+		if v := p.Load64(blob); (v != 1 && v != 2) || p.Load64(blob+size-8) != v {
+			t.Fatalf("crash@%d: blob holds %d / %d", n, v, p.Load64(blob+size-8))
+		}
+		after, rep := unowned(e2, p)
+		if rep.IsFree(blob) {
+			t.Fatalf("crash@%d: the reachable blob is free", n)
+		}
+		switch leaked := after - before; leaked {
+		case 0:
+		case roundUpLine(size + 16):
+			leaks++
+		default:
+			t.Fatalf("crash@%d: %d bytes leaked", n, int64(leaked))
+		}
+		// Recovery done, nothing more leaks.
+		if err := e2.Run(0, "swap", txn.NewArgs().PutUint64(3)); err != nil {
+			t.Fatalf("crash@%d: %v", n, err)
+		}
+		if again, _ := unowned(e2, p); again != after {
+			t.Fatalf("crash@%d: a swap after recovery leaked %d bytes", n, int64(again-after))
+		}
+	}
+}
+
+func roundUpLine(n uint64) uint64 { return (n + nvm.LineSize - 1) / nvm.LineSize * nvm.LineSize }

@@ -1,11 +1,13 @@
 package clobber
 
 import (
+	"errors"
 	"fmt"
 
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/obs"
 	"clobbernvm/internal/plog"
+	"clobbernvm/internal/pmem"
 	"clobbernvm/internal/txn"
 )
 
@@ -22,7 +24,9 @@ type mem struct {
 	t *flagTable
 
 	stored bool
-	frees  int
+	// fenced: the transaction has issued a fence (begin, or a clobber_log
+	// entry's).
+	fenced bool
 }
 
 var _ txn.Mem = (*mem)(nil)
@@ -35,7 +39,7 @@ func newMem(e *Engine, s *slot, seq uint64) *mem {
 	} else {
 		s.ftab.reset()
 	}
-	return &mem{e: e, s: s, seq: seq, t: s.ftab}
+	return &mem{e: e, s: s, seq: seq, t: s.ftab, fenced: !e.opts.DisableVLog}
 }
 
 // Load implements txn.Mem.
@@ -124,7 +128,10 @@ func (m *mem) preStore(addr, n uint64) {
 // clobber_log (one flush set + one fence, the PMDK undo-log discipline) and
 // marks the covered units logged so shadowed writes skip the log.
 func (m *mem) logClobber(addr, n uint64) {
-	old := make([]byte, n)
+	if uint64(cap(m.s.old)) < n {
+		m.s.old = make([]byte, n, 2*n)
+	}
+	old := m.s.old[:n]
 	m.e.pool.Load(addr, old)
 	// The entry's fence is issued through CommitFence so concurrent
 	// transactions' log-ordering fences can share one epoch; the blocking
@@ -135,6 +142,7 @@ func (m *mem) logClobber(addr, n uint64) {
 		panic(fmt.Errorf("%w: %v", ErrTxTooLarge, err))
 	}
 	m.e.pool.CommitFence()
+	m.fenced = true
 	m.e.stats.LogEntries.Add(1)
 	m.e.stats.LogBytes.Add(int64(nbytes))
 	m.e.probe.LogAppend(obs.KindClobberLog, m.s.id, m.seq, nbytes)
@@ -144,29 +152,27 @@ func (m *mem) logClobber(addr, n uint64) {
 	}
 }
 
-// Alloc implements txn.Mem (the pmalloc callback). The allocation is
-// recorded (best effort) so recovery can reclaim it before re-execution.
+// Alloc implements txn.Mem (the pmalloc callback): a reservation in the
+// slot's arena, persistent only once the transaction commits.
 func (m *mem) Alloc(size uint64) (txn.Addr, error) {
-	addr, err := m.e.alloc.Alloc(m.s.id, size)
-	if err != nil {
-		return 0, err
-	}
-	if !m.e.opts.DisableVLog {
-		if err := m.s.alog.Append(m.seq, addr, false); err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrTxTooLarge, err)
-		}
-	}
-	return addr, nil
+	addr, err := m.s.tx.Alloc(size)
+	return addr, tooLarge(err)
 }
 
-// Free implements txn.Mem. Frees are deferred to commit so an interrupted
-// transaction can still read the memory during re-execution.
+// Free implements txn.Mem. The block is only queued: it goes on the slot's
+// free list when the commit is applied, so an interrupted transaction can
+// still read the memory during re-execution.
 func (m *mem) Free(addr txn.Addr) error {
-	if err := m.s.flog.Append(m.seq, addr, false); err != nil {
+	return tooLarge(m.s.tx.Free(addr))
+}
+
+// tooLarge reports an overflowing allocator record as the engine's own
+// capacity error.
+func tooLarge(err error) error {
+	if errors.Is(err, pmem.ErrRecordFull) {
 		return fmt.Errorf("%w: %v", ErrTxTooLarge, err)
 	}
-	m.frees++
-	return nil
+	return err
 }
 
 // roMem is the read-only view used by RunRO: direct pool reads, no

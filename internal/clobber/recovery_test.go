@@ -18,7 +18,7 @@ func TestRecoverIsIdempotent(t *testing.T) {
 	registerPush(e, head)
 	crashDuring(t, p, func() error {
 		return e.Run(0, "push", txn.NewArgs().PutUint64(1))
-	}, pushStores(t, 0)-1)
+	}, pushStores(t, 0))
 
 	e2 := reopen(t, p)
 	registerPush(e2, head)
@@ -53,7 +53,7 @@ func TestCrashDuringRecoveryReexecution(t *testing.T) {
 		// First crash mid-push.
 		crashDuring(t, p, func() error {
 			return e.Run(0, "push", txn.NewArgs().PutUint64(2))
-		}, pushStores(t, 1)-1)
+		}, pushStores(t, 1))
 
 		// First recovery attempt, crashed again mid-way.
 		e2 := reopen(t, p)
@@ -101,7 +101,7 @@ func TestRecoveryRequiresRegistration(t *testing.T) {
 	registerPush(e, head)
 	crashDuring(t, p, func() error {
 		return e.Run(0, "push", txn.NewArgs().PutUint64(1))
-	}, pushStores(t, 0)-1)
+	}, pushStores(t, 0))
 
 	e2 := reopen(t, p) // deliberately no registerPush
 	if _, err := e2.Recover(); !errors.Is(err, txn.ErrUnknownTxFunc) {
@@ -205,7 +205,7 @@ func TestSlotStatuses(t *testing.T) {
 	registerPush(e, head)
 	crashDuring(t, p, func() error {
 		return e.Run(1, "push", txn.NewArgs().PutUint64(9))
-	}, pushStores(t, 0)-1)
+	}, pushStores(t, 0))
 
 	e2 := reopen(t, p)
 	registerPush(e2, head)

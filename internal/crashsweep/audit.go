@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"clobbernvm/internal/pds"
+	"clobbernvm/internal/pmem"
 	"clobbernvm/internal/txn"
 )
 
@@ -74,4 +75,48 @@ func Recover(e pds.Engine) (txn.RecoveryReport, error) {
 	}
 	n, err := e.Recover()
 	return txn.RecoveryReport{Recovered: n}, err
+}
+
+// CheckHeap requires a clean allocator audit and that no block reachable
+// from the structure is one the allocator could hand out again. It returns
+// the number of heap bytes neither on the allocator's books (free lists,
+// unbumped spans, central reserve) nor reachable: the engine's own blocks
+// plus whatever has leaked.
+func CheckHeap(a *pmem.Allocator, s pds.Store, poolSize uint64) (uint64, error) {
+	rep, err := a.Check()
+	if err != nil {
+		return 0, err
+	}
+	owned := rep.FreeBytes + rep.HugeFreeBytes + rep.BumpReserve + rep.CentralReserve
+	if w, ok := s.(pds.BlockWalker); ok {
+		blocks, err := w.Blocks(0)
+		if err != nil {
+			return 0, err
+		}
+		for _, addr := range blocks {
+			if rep.IsFree(addr) {
+				return 0, fmt.Errorf("block %#x is reachable from the %s and free in the allocator", addr, s.Name())
+			}
+			usable, err := a.UsableSize(addr)
+			if err != nil {
+				return 0, fmt.Errorf("reachable block %#x: %w", addr, err)
+			}
+			owned += usable + 8 // the block's header word
+		}
+	}
+	return poolSize - owned, nil
+}
+
+// AuditHeap validates the heap under a recovered structure: the allocator's
+// own audit passes, nothing reachable is free, and the crash leaked at most
+// one refill chunk over unownedBefore, the CheckHeap of the pre-crash image. It returns "" or a detail of the first violation.
+func AuditHeap(a *pmem.Allocator, s pds.Store, poolSize, unownedBefore uint64) string {
+	unowned, err := CheckHeap(a, s, poolSize)
+	if err != nil {
+		return fmt.Sprintf("heap audit after recovery: %v", err)
+	}
+	if leaked := int64(unowned - unownedBefore); leaked > pmem.ChunkSize {
+		return fmt.Sprintf("recovery leaked %d heap bytes (bound: one %d-byte chunk)", leaked, pmem.ChunkSize)
+	}
+	return ""
 }

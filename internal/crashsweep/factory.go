@@ -63,7 +63,7 @@ func SpecsSized(slots int, dataLogCap uint64) []EngineSpec {
 			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
 				return clobber.Create(p, a, clobber.Options{
 					Slots: slots, DataLogCap: dataLogCap, ArgsCap: 1024,
-					AllocLogCap: 128, FreeLogCap: 128,
+					FreeLogCap: 128,
 				})
 			},
 			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
@@ -115,7 +115,7 @@ func SpecsSized(slots int, dataLogCap uint64) []EngineSpec {
 			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
 				return clobber.Create(p, a, clobber.Options{
 					Slots: slots, DataLogCap: dataLogCap, ArgsCap: 1024,
-					AllocLogCap: 128, FreeLogCap: 128, LineLog: true,
+					FreeLogCap: 128, LineLog: true,
 				})
 			},
 			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {

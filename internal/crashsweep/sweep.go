@@ -192,6 +192,10 @@ func RunSpec(spec EngineSpec, cfg Config) (Result, error) {
 	// base is the logical state after seeding with everything durable;
 	// every sweep iteration restores it into both pool views.
 	base := pool.CoherentSnapshot()
+	unowned, err := CheckHeap(alloc, store, pool.Size())
+	if err != nil {
+		return res, fmt.Errorf("crashsweep: heap audit of the seeded image: %w", err)
+	}
 
 	// models[j] is the expected key-value state after j live ops; a crash
 	// during live op j must recover to models[j] or models[j+1].
@@ -351,7 +355,11 @@ func RunSpec(spec EngineSpec, cfg Config) (Result, error) {
 				Detail: err.Error()})
 			continue
 		}
-		if detail := AuditRecovered(store2, obs, models[opIdx], models[opIdx+1]); detail != "" {
+		detail := AuditRecovered(store2, obs, models[opIdx], models[opIdx+1])
+		if detail == "" {
+			detail = AuditHeap(a, store2, pool.Size(), unowned)
+		}
+		if detail != "" {
 			res.Mismatches = append(res.Mismatches, Mismatch{Point: point, Op: opIdx, Detail: detail})
 		}
 	}

@@ -86,9 +86,9 @@ func TestCheckDetectsCycle(t *testing.T) {
 	a2, _ := a.Alloc(0, 64)
 	_ = a.Free(a1)
 	_ = a.Free(a2)
-	// Corrupt: point the free block's next pointer at itself.
+	// Corrupt: point the free block's link at itself.
 	blk := a2 - 8 // block base (head of the class free list after two frees)
-	p.Store64(blk, blk)
+	p.Store64(blk, p.Load64(blk)&^(1<<32-1)|blk>>linkShift)
 	if _, err := a.Check(); err == nil {
 		t.Fatal("Check missed an introduced free-list cycle")
 	}
@@ -99,7 +99,7 @@ func TestCheckDetectsOutOfHeapLink(t *testing.T) {
 	a1, _ := a.Alloc(0, 64)
 	_ = a.Free(a1)
 	blk := a1 - 8
-	p.Store64(blk, p.Size()+1024) // next pointer beyond the heap
+	p.Store64(blk, p.Load64(blk)&^(1<<32-1)|(p.Size()+1024)>>linkShift) // link beyond the heap
 	if _, err := a.Check(); err == nil {
 		t.Fatal("Check missed an out-of-heap free-list link")
 	}

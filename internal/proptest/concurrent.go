@@ -19,6 +19,11 @@ import (
 // point fires — the sticky crash latch halts every other worker at its next
 // persistence event, exactly like a real power failure.
 //
+// The warm-up runs each stream on its neighbour's slot, so the live half's
+// updates and deletes free blocks that another slot's arena allocated:
+// frees cross slots, as they do behind a server whose connections share
+// keys.
+//
 // The oracle is exact because key spaces are disjoint: every linearization
 // of the per-worker histories projects, per worker, to the committed prefix
 // with at most one in-flight op, all-or-nothing. A worker's recovered
@@ -113,13 +118,14 @@ func runConcurrent(es crashsweep.EngineSpec, spec Spec) (*Failure, error) {
 	}
 	warm := spec.Ops / 2
 
-	// runPhase executes each worker's [lo, hi) ops concurrently, stopping a
-	// worker at the first crash panic, divergence, or hard error.
-	runPhase := func(lo, hi int) {
+	// runPhase executes each worker's [lo, hi) ops concurrently, worker w on
+	// slot (w+shift) mod Threads, stopping a worker at the first crash panic,
+	// divergence, or hard error.
+	runPhase := func(lo, hi, shift int) {
 		var wg sync.WaitGroup
 		for w, st := range workers {
 			wg.Add(1)
-			go func(slot int, st *worker) {
+			go func(w, slot int, st *worker) {
 				defer wg.Done()
 				for j := lo; j < hi && j < len(st.ops); j++ {
 					if pool.Crashed() {
@@ -143,23 +149,23 @@ func runConcurrent(es crashsweep.EngineSpec, spec Spec) (*Failure, error) {
 						return
 					}
 					if errors.Is(err, errDiverged) {
-						st.diverged = fmt.Errorf("worker %d op %d: %w", slot, j, err)
+						st.diverged = fmt.Errorf("worker %d op %d: %w", w, j, err)
 						return
 					}
 					if err != nil {
-						st.runErr = fmt.Errorf("worker %d op %d %v: %w", slot, j, st.ops[j], err)
+						st.runErr = fmt.Errorf("worker %d op %d %v: %w", w, j, st.ops[j], err)
 						return
 					}
 					st.committed = j + 1
 				}
-			}(w, st)
+			}(w, (w+shift)%spec.Threads, st)
 		}
 		wg.Wait()
 	}
 
 	// Warm-up on the fast path: committed bulk state, no crash armed.
 	pool.SetFastPath(true)
-	runPhase(0, warm)
+	runPhase(0, warm, 1)
 	for _, st := range workers {
 		if st.runErr != nil {
 			return nil, st.runErr
@@ -176,7 +182,7 @@ func runConcurrent(es crashsweep.EngineSpec, spec Spec) (*Failure, error) {
 	} else {
 		pool.ResetPersistPoints()
 	}
-	runPhase(warm, spec.Ops)
+	runPhase(warm, spec.Ops, 0)
 	fired := pool.Crashed()
 	pool.ScheduleCrashAt(spec.Kind, 0)
 	for _, st := range workers {

@@ -191,6 +191,9 @@ func reattach(es crashsweep.EngineSpec, spec Spec, pool *nvm.Pool) (pds.Store, s
 		return nil, fmt.Sprintf("recovery quarantined %d slot(s) after a pure power failure: %v",
 			rep.Quarantined, errors.Join(rep.Errors...))
 	}
+	if _, err := crashsweep.CheckHeap(a, store2, pool.Size()); err != nil {
+		return nil, fmt.Sprintf("heap audit after recovery: %v", err)
+	}
 	return store2, ""
 }
 
