@@ -17,6 +17,11 @@
 // from the caller's lock acquire/release around Run, per our locking
 // contract), the dependency log is a persistent ring, and the snapshot scan
 // runs inline every SnapshotInterval commits.
+//
+// Allocation goes through the slot's pmem.Tx exactly as in the other engines:
+// reserve during the FASE, publish one redo record ahead of the commit fence,
+// apply after the idle status is durable. A rolled-back FASE never touched
+// the persistent heap.
 package atlas
 
 import (
@@ -32,16 +37,16 @@ import (
 )
 
 const (
+	// phaseIdle is the committed state of the slot's last FASE, and
+	// phaseOngoing (1) the one phase pmem's commit condition reads as "not
+	// committed".
 	phaseIdle    = 0
 	phaseOngoing = 1
-	phaseFreeing = 2
 
 	anchorMagic = 0x41544c41 // "ATLA"
 
-	offStatus         = 0
-	offFreeApplied    = 8
-	offReclaimApplied = 16
-	hdrSize           = 64
+	offStatus = 0
+	hdrSize   = 64
 
 	// ringEntries is the dependency-log ring capacity.
 	ringEntries = 4096
@@ -57,10 +62,11 @@ const rootSlot = 5
 
 // Options configures engine creation.
 type Options struct {
-	Slots       int
-	DataLogCap  uint64
-	AllocLogCap int
-	FreeLogCap  int
+	Slots      int
+	DataLogCap uint64
+	// FreeLogCap bounds the frees of one FASE (default 4096): it sizes the
+	// slot's allocator redo record.
+	FreeLogCap int
 	// LineLog formats the data log with the write-combined line writer
 	// (see plog.FormatDataLogLine). Attach detects the mode from the log
 	// magic, so only Create needs the flag.
@@ -73,9 +79,6 @@ func (o *Options) fill() {
 	}
 	if o.DataLogCap == 0 {
 		o.DataLogCap = 1 << 20
-	}
-	if o.AllocLogCap == 0 {
-		o.AllocLogCap = 4096
 	}
 	if o.FreeLogCap == 0 {
 		o.FreeLogCap = 4096
@@ -113,13 +116,14 @@ type slot struct {
 	id   int
 	hdr  uint64
 	dlog *plog.DataLog
-	alog *plog.AddrLog
-	flog *plog.AddrLog
+	tx   *pmem.Tx // the slot's arena: reservations of the running FASE
 	seq  uint64
 
 	// lset is the per-slot dirty-line set, reused across transactions (the
 	// slot lock covers the whole Run).
 	lset *lineSet
+	// old stages an undo entry's pre-store bytes.
+	old []byte
 
 	// quarantined is set (volatile) when recovery found this slot's logs
 	// corrupt; the slot refuses transactions until recreated.
@@ -146,10 +150,7 @@ func Create(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
 	p.Store64(anchor+8, uint64(opts.Slots))
 	p.Store64(anchor+16, ring)
 
-	dlogOff := uint64(hdrSize)
-	alogOff := dlogOff + plog.DataLogSize(opts.DataLogCap)
-	flogOff := alogOff + plog.AddrLogSize(opts.AllocLogCap)
-	slotSize := flogOff + plog.AddrLogSize(opts.FreeLogCap)
+	slotSize := hdrSize + plog.DataLogSize(opts.DataLogCap)
 
 	for i := 0; i < opts.Slots; i++ {
 		base, err := a.Alloc(i, slotSize)
@@ -158,13 +159,16 @@ func Create(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
 		}
 		p.Store(base, make([]byte, hdrSize))
 		p.Persist(base, hdrSize)
-		e.slots = append(e.slots, &slot{
+		s := &slot{
 			id:   i,
 			hdr:  base,
-			dlog: plog.FormatDataLogMode(p, i, base+dlogOff, opts.DataLogCap, opts.LineLog),
-			alog: plog.FormatAddrLog(p, i, base+alogOff, opts.AllocLogCap),
-			flog: plog.FormatAddrLog(p, i, base+flogOff, opts.FreeLogCap),
-		})
+			dlog: plog.FormatDataLogMode(p, i, base+hdrSize, opts.DataLogCap, opts.LineLog),
+			tx:   a.Tx(i),
+		}
+		if err := s.tx.Bind(base+offStatus, opts.FreeLogCap); err != nil {
+			return nil, fmt.Errorf("atlas: create slot %d: %w", i, err)
+		}
+		e.slots = append(e.slots, s)
 		p.Store64(anchor+24+uint64(i)*8, base)
 	}
 	p.Persist(anchor, anchorSize)
@@ -200,6 +204,7 @@ func Attach(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
 			s.quarantined = fmt.Errorf("atlas: slot %d: %w", i, err)
 			e.stats.Quarantined.Add(1)
 		}
+		s.tx = a.Tx(i)
 		e.slots = append(e.slots, s)
 	}
 	return e, nil
@@ -213,19 +218,8 @@ func attachSlot(p *nvm.Pool, i int, base uint64) (*slot, error) {
 	if err != nil {
 		return nil, err
 	}
-	dcap := p.Load64(base + hdrSize + 8)
-	alogOff := uint64(hdrSize) + plog.DataLogSize(dcap)
-	alog, err := plog.AttachAddrLog(p, i, base+alogOff)
-	if err != nil {
-		return nil, err
-	}
-	acap := int(p.Load64(base + alogOff + 8))
-	flog, err := plog.AttachAddrLog(p, i, base+alogOff+plog.AddrLogSize(acap))
-	if err != nil {
-		return nil, err
-	}
 	status := p.Load64(base + offStatus)
-	return &slot{id: i, hdr: base, dlog: dlog, alog: alog, flog: flog, seq: status >> 2}, nil
+	return &slot{id: i, hdr: base, dlog: dlog, seq: status >> 2}, nil
 }
 
 // quarantine marks a slot unusable after recovery found corrupt logs. The
@@ -275,14 +269,9 @@ func (e *Engine) Run(slotID int, name string, args *txn.Args) error {
 	sp := e.probe.Start(s.id, name)
 	seq := s.seq + 1
 	p := e.pool
-	p.Store64(s.hdr+offFreeApplied, 0)
-	p.Store64(s.hdr+offReclaimApplied, 0)
-	p.Store64(s.hdr+offStatus, seq<<2|phaseOngoing)
-	p.CommitPersist(s.hdr+offStatus, 8)
+	e.setStatus(s, seq, phaseOngoing)
 	s.seq = seq
 	s.dlog.Reset()
-	s.alog.Reset()
-	s.flog.Reset()
 	sp.BeginDone(seq)
 
 	if s.lset == nil {
@@ -291,6 +280,9 @@ func (e *Engine) Run(slotID int, name string, args *txn.Args) error {
 		s.lset.reset()
 	}
 	m := &mem{e: e, s: s, seq: seq, dirty: s.lset}
+	// Whatever way the txfunc leaves without committing — error, panic,
+	// simulated crash — its reservations are dropped and the arena released.
+	defer s.tx.Abort()
 	if err := fn(m, args); err != nil {
 		e.rollback(s, seq)
 		sp.Aborted()
@@ -298,14 +290,16 @@ func (e *Engine) Run(slotID int, name string, args *txn.Args) error {
 	}
 	sp.ExecDone()
 
+	// Outputs and the allocator record durable under one fence, then the idle
+	// status, which commits the record, then its apply, unfenced: the next
+	// begin's fence retires it, as this one's retired the last.
 	p.FlushOptLines(m.dirty.dirty)
+	s.tx.Retired()
+	s.tx.Publish(seq)
 	p.CommitFence()
 	sp.FlushFence(len(m.dirty.dirty))
-	if m.frees > 0 {
-		e.setStatus(s, seq, phaseFreeing)
-		e.applyFrees(s, seq, 0)
-	}
 	e.setStatus(s, seq, phaseIdle)
+	s.tx.Apply()
 	e.recordDependency(s, seq)
 	e.stats.Committed.Add(1)
 	sp.Committed(false)
@@ -355,21 +349,9 @@ func (e *Engine) setStatus(s *slot, seq, phase uint64) {
 	e.pool.CommitPersist(s.hdr+offStatus, 8)
 }
 
-func (e *Engine) applyFrees(s *slot, seq, from uint64) {
-	e.applyFreeList(s, s.flog.Scan(seq), from)
-}
-
-func (e *Engine) applyFreeList(s *slot, addrs []uint64, from uint64) {
-	p := e.pool
-	for i := from; i < uint64(len(addrs)); i++ {
-		p.Store64(s.hdr+offFreeApplied, i+1)
-		p.CommitPersist(s.hdr+offFreeApplied, 8)
-		if err := e.alloc.Free(addrs[i]); err != nil {
-			continue
-		}
-	}
-}
-
+// rollback restores the undo-logged values in reverse order and marks the
+// slot idle. Allocations and frees were only reserved: the heap has nothing
+// to undo.
 func (e *Engine) rollback(s *slot, seq uint64) {
 	e.rollbackEntries(s, seq, s.dlog.Scan(seq))
 }
@@ -382,14 +364,6 @@ func (e *Engine) rollbackEntries(s *slot, seq uint64, entries []plog.Entry) {
 	}
 	if len(entries) > 0 {
 		p.Fence()
-	}
-	allocs := s.alog.Scan(seq)
-	for i := p.Load64(s.hdr + offReclaimApplied); i < uint64(len(allocs)); i++ {
-		p.Store64(s.hdr+offReclaimApplied, i+1)
-		p.Persist(s.hdr+offReclaimApplied, 8)
-		if err := e.alloc.Free(allocs[i]); err != nil {
-			continue
-		}
 	}
 	e.setStatus(s, seq, phaseIdle)
 }
@@ -412,7 +386,8 @@ func (e *Engine) Recover() (int, error) {
 // append before the corresponding store, so the log is fence-ordered at
 // recovery and the strict scan's valid-after-invalid corruption test is
 // sound. A corrupt log quarantines the slot before ANY entry is restored —
-// a partial rollback would itself tear the data it claims to repair.
+// a partial rollback would itself tear the data it claims to repair. The heap
+// needs no step: pmem.Attach has already settled every arena.
 func (e *Engine) RecoverReport() (txn.RecoveryReport, error) {
 	var rep txn.RecoveryReport
 	rep.Slots = len(e.slots)
@@ -463,15 +438,6 @@ func (e *Engine) recoverSlot(s *slot, rep *txn.RecoveryReport) {
 		e.probe.RecoveryEvent(s.id, seq, "")
 		rep.Recovered++
 		rep.RolledBack++
-	case phaseFreeing:
-		addrs, err := s.flog.ScanStrict(seq)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("atlas: slot %d: free log: %w", s.id, err))
-			return
-		}
-		e.applyFreeList(s, addrs, p.Load64(s.hdr+offFreeApplied))
-		e.setStatus(s, seq, phaseIdle)
-		rep.FreesResumed++
 	case phaseIdle:
 		// Nothing to do.
 	default:
@@ -485,7 +451,6 @@ type mem struct {
 	s     *slot
 	seq   uint64
 	dirty *lineSet
-	frees int
 }
 
 var _ txn.Mem = (*mem)(nil)
@@ -511,7 +476,10 @@ func (m *mem) preStore(addr, n uint64) {
 	if n == 0 {
 		return
 	}
-	old := make([]byte, n)
+	if uint64(cap(m.s.old)) < n {
+		m.s.old = make([]byte, n, 2*n)
+	}
+	old := m.s.old[:n]
 	m.e.pool.Load(addr, old)
 	// Groupable per-entry fence: durable before the store (CommitFence
 	// blocks), amortizable across concurrently logging FASEs.
@@ -528,23 +496,25 @@ func (m *mem) preStore(addr, n uint64) {
 	}
 }
 
+// Alloc reserves in the slot's arena; the block is persistent only once the
+// FASE commits.
 func (m *mem) Alloc(size uint64) (txn.Addr, error) {
-	addr, err := m.e.alloc.Alloc(m.s.id, size)
-	if err != nil {
-		return 0, err
-	}
-	if err := m.s.alog.Append(m.seq, addr, false); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrTxTooLarge, err)
-	}
-	return addr, nil
+	addr, err := m.s.tx.Alloc(size)
+	return addr, tooLarge(err)
 }
 
+// Free queues the block: it goes on the free list when the commit is applied.
 func (m *mem) Free(addr txn.Addr) error {
-	if err := m.s.flog.Append(m.seq, addr, false); err != nil {
+	return tooLarge(m.s.tx.Free(addr))
+}
+
+// tooLarge reports an overflowing allocator record as the engine's own
+// capacity error.
+func tooLarge(err error) error {
+	if errors.Is(err, pmem.ErrRecordFull) {
 		return fmt.Errorf("%w: %v", ErrTxTooLarge, err)
 	}
-	m.frees++
-	return nil
+	return err
 }
 
 type roMem struct{ pool *nvm.Pool }

@@ -74,8 +74,7 @@ func SpecsSized(slots int, dataLogCap uint64) []EngineSpec {
 			Name: "pmdk", Style: StyleAtomic,
 			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
 				return undolog.Create(p, a, undolog.Options{
-					Slots: slots, DataLogCap: dataLogCap,
-					AllocLogCap: 128, FreeLogCap: 128,
+					Slots: slots, DataLogCap: dataLogCap, FreeLogCap: 128,
 				})
 			},
 			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
@@ -86,8 +85,7 @@ func SpecsSized(slots int, dataLogCap uint64) []EngineSpec {
 			Name: "mnemosyne", Style: StyleAtomic,
 			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
 				return redolog.Create(p, a, redolog.Options{
-					Slots: slots, DataLogCap: dataLogCap,
-					AllocLogCap: 128, FreeLogCap: 128,
+					Slots: slots, DataLogCap: dataLogCap, FreeLogCap: 128,
 				})
 			},
 			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
@@ -98,8 +96,7 @@ func SpecsSized(slots int, dataLogCap uint64) []EngineSpec {
 			Name: "atlas", Style: StyleAtomic,
 			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
 				return atlas.Create(p, a, atlas.Options{
-					Slots: slots, DataLogCap: dataLogCap,
-					AllocLogCap: 128, FreeLogCap: 128,
+					Slots: slots, DataLogCap: dataLogCap, FreeLogCap: 128,
 				})
 			},
 			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
@@ -126,8 +123,7 @@ func SpecsSized(slots int, dataLogCap uint64) []EngineSpec {
 			Name: "pmdk-line", Style: StyleAtomic,
 			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
 				return undolog.Create(p, a, undolog.Options{
-					Slots: slots, DataLogCap: dataLogCap,
-					AllocLogCap: 128, FreeLogCap: 128, LineLog: true,
+					Slots: slots, DataLogCap: dataLogCap, FreeLogCap: 128, LineLog: true,
 				})
 			},
 			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
@@ -138,8 +134,7 @@ func SpecsSized(slots int, dataLogCap uint64) []EngineSpec {
 			Name: "mnemosyne-line", Style: StyleAtomic,
 			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
 				return redolog.Create(p, a, redolog.Options{
-					Slots: slots, DataLogCap: dataLogCap,
-					AllocLogCap: 128, FreeLogCap: 128, LineLog: true,
+					Slots: slots, DataLogCap: dataLogCap, FreeLogCap: 128, LineLog: true,
 				})
 			},
 			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
@@ -150,8 +145,7 @@ func SpecsSized(slots int, dataLogCap uint64) []EngineSpec {
 			Name: "atlas-line", Style: StyleAtomic,
 			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
 				return atlas.Create(p, a, atlas.Options{
-					Slots: slots, DataLogCap: dataLogCap,
-					AllocLogCap: 128, FreeLogCap: 128, LineLog: true,
+					Slots: slots, DataLogCap: dataLogCap, FreeLogCap: 128, LineLog: true,
 				})
 			},
 			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {

@@ -65,12 +65,14 @@ func Fig10(sc Scale) (*Table, error) {
 
 // Fig11 measures vacation across the two table structures (rbtree vs
 // avltree) and the queries-per-task sweep, reporting completion time and
-// overhead relative to No-log (Figure 11).
+// overhead relative to No-log (Figure 11), followed by what each task cost in
+// log bytes, flushes and fences — counts that repeat exactly from run to run.
 func Fig11(sc Scale) (*Table, error) {
 	t := &Table{
 		Name: "fig11",
 		Header: []string{"engine", "tree", "queries_per_task", "run",
-			"elapsed_ms", "overhead_vs_nolog_pct"},
+			"elapsed_ms", "overhead_vs_nolog_pct",
+			"log_bytes_per_task", "flushes_per_task", "fences_per_task"},
 	}
 	engines := []EngineKind{EngineNoLog, EngineClobber, EnginePMDK, EngineMnemosyne}
 	for _, kind := range []vacation.TreeKind{vacation.RBTreeTables, vacation.AVLTreeTables} {
@@ -78,11 +80,11 @@ func Fig11(sc Scale) (*Table, error) {
 			var base float64
 			for _, ek := range engines {
 				for run := 0; run < sc.Runs; run++ {
-					elapsed, err := runVacation(ek, kind, q, sc, int64(run))
+					r, err := runVacation(ek, kind, q, sc, int64(run))
 					if err != nil {
 						return nil, err
 					}
-					ms := elapsed.Seconds() * 1000
+					ms := r.elapsed.Seconds() * 1000
 					if ek == EngineNoLog && run == 0 {
 						base = ms
 					}
@@ -90,7 +92,9 @@ func Fig11(sc Scale) (*Table, error) {
 					if base > 0 {
 						overhead = (ms - base) / base * 100
 					}
-					t.add(string(ek), kind.String(), q, run, ms, overhead)
+					_, bytes := statsPerTx(r.eng, sc.VacationTasks)
+					t.add(string(ek), kind.String(), q, run, ms, overhead, bytes,
+						perOp(r.pool.Flushes, sc.VacationTasks), perOp(r.pool.Fences, sc.VacationTasks))
 				}
 			}
 		}
@@ -98,26 +102,30 @@ func Fig11(sc Scale) (*Table, error) {
 	return t, nil
 }
 
-func runVacation(ek EngineKind, kind vacation.TreeKind, q int, sc Scale, seed int64) (time.Duration, error) {
+// runVacation measures sc.VacationTasks tasks over freshly populated tables:
+// the window's wall time and the engine and pool counters it moved.
+func runVacation(ek EngineKind, kind vacation.TreeKind, q int, sc Scale, seed int64) (measured, error) {
 	setup, err := NewSetup(ek, sc)
 	if err != nil {
-		return 0, err
+		return measured{}, err
 	}
 	v, err := vacation.New(setup.Engine, appRootSlot, kind)
 	if err != nil {
-		return 0, err
+		return measured{}, err
 	}
 	if err := v.Populate(0, sc.VacationRecords, seed+1); err != nil {
-		return 0, err
+		return measured{}, err
 	}
 	tasks := vacation.GenTasks(sc.VacationTasks, q, sc.VacationRecords, seed+2)
+	s0, p0 := setup.Engine.Stats().Snapshot(), setup.Pool.Stats()
 	start := time.Now()
 	for _, task := range tasks {
 		if err := v.RunTask(0, task); err != nil {
-			return 0, err
+			return measured{}, err
 		}
 	}
-	return time.Since(start), nil
+	elapsed := time.Since(start)
+	return measured{elapsed, setup.Engine.Stats().Snapshot().Sub(s0), setup.Pool.Stats().Sub(p0)}, nil
 }
 
 // Fig12 measures yada completion time across the angle-constraint sweep for

@@ -21,24 +21,12 @@ func Fig13(sc Scale) (*Table, error) {
 	}
 
 	measureStruct := func(st StructureKind, ek EngineKind) (float64, float64, float64, error) {
-		setup, err := NewSetup(ek, sc)
+		r, err := runInserts(ek, st, sc, 1)
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		store, err := OpenStructure(st, setup.Engine)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if err := populate(store, st, sc.Entries, 1); err != nil {
-			return 0, 0, 0, err
-		}
-		s0 := setup.Engine.Stats().Snapshot()
-		elapsed, err := measureInsertThroughput(store, st, sc.Entries, sc.Ops, 1)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		entries, bytes := statsPerTx(setup.Engine.Stats().Snapshot().Sub(s0), sc.Ops)
-		return opsPerSec(sc.Ops, elapsed), entries, bytes, nil
+		entries, bytes := statsPerTx(r.eng, sc.Ops)
+		return opsPerSec(sc.Ops, r.elapsed), entries, bytes, nil
 	}
 
 	for _, st := range AllStructures {

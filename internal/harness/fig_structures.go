@@ -64,36 +64,65 @@ func measureInsertThroughput(s pds.Store, kind StructureKind, base, ops, threads
 	return elapsed, nil
 }
 
+// measured is one measured window of a figure: its wall time and the engine and
+// pool counters it moved.
+type measured struct {
+	elapsed time.Duration
+	eng     txn.StatsSnapshot
+	pool    nvm.StatsSnapshot
+}
+
+// runInserts provisions a fresh setup of the engine, loads sc.Entries entries
+// into the structure, and measures sc.Ops inserts of fresh keys across
+// threads.
+func runInserts(ek EngineKind, st StructureKind, sc Scale, threads int) (measured, error) {
+	setup, err := NewSetup(ek, sc)
+	if err != nil {
+		return measured{}, err
+	}
+	store, err := OpenStructure(st, setup.Engine)
+	if err != nil {
+		return measured{}, err
+	}
+	if err := populate(store, st, sc.Entries, 1); err != nil {
+		return measured{}, err
+	}
+	s0, p0 := setup.Engine.Stats().Snapshot(), setup.Pool.Stats()
+	elapsed, err := measureInsertThroughput(store, st, sc.Entries, sc.Ops, threads)
+	if err != nil {
+		return measured{}, err
+	}
+	return measured{elapsed, setup.Engine.Stats().Snapshot().Sub(s0), setup.Pool.Stats().Sub(p0)}, nil
+}
+
+// perOp divides a counter delta by an operation count.
+func perOp(n int64, ops int) float64 { return float64(n) / float64(ops) }
+
 // Fig6 measures data-structure insert throughput for the four libraries
 // across the thread sweep (Figure 6). Output columns mirror the artifact's
-// fig6.csv: engine, structure, threads, run, value size, throughput (ops/s).
+// fig6.csv — engine, structure, threads, run, value size, throughput (ops/s)
+// — followed by what each insert cost in log bytes, flushes and fences: the
+// counts repeat exactly from run to run, the throughput they explain does
+// not.
 func Fig6(sc Scale) (*Table, error) {
 	t := &Table{
-		Name:   "fig6",
-		Header: []string{"engine", "structure", "threads", "run", "valuesize", "ops_per_sec"},
+		Name: "fig6",
+		Header: []string{"engine", "structure", "threads", "run", "valuesize", "ops_per_sec",
+			"log_bytes_per_tx", "flushes_per_tx", "fences_per_tx"},
 	}
 	engines := []EngineKind{EngineClobber, EnginePMDK, EngineMnemosyne, EngineAtlas}
 	for _, st := range AllStructures {
 		for _, ek := range engines {
 			for _, threads := range sc.Threads {
 				for run := 0; run < sc.Runs; run++ {
-					setup, err := NewSetup(ek, sc)
+					r, err := runInserts(ek, st, sc, threads)
 					if err != nil {
 						return nil, err
 					}
-					store, err := OpenStructure(st, setup.Engine)
-					if err != nil {
-						return nil, err
-					}
-					if err := populate(store, st, sc.Entries, 1); err != nil {
-						return nil, err
-					}
-					elapsed, err := measureInsertThroughput(store, st, sc.Entries, sc.Ops, threads)
-					if err != nil {
-						return nil, err
-					}
+					_, bytes := statsPerTx(r.eng, sc.Ops)
 					t.add(string(ek), string(st), threads, run, ValueSize,
-						opsPerSec(sc.Ops, elapsed))
+						opsPerSec(sc.Ops, r.elapsed), bytes,
+						perOp(r.pool.Flushes, sc.Ops), perOp(r.pool.Fences, sc.Ops))
 				}
 			}
 		}
@@ -114,30 +143,14 @@ func Fig7(sc Scale) (*Table, error) {
 		EngineClobber, EnginePMDK}
 	for _, st := range AllStructures {
 		for _, ek := range variants {
-			setup, err := NewSetup(ek, sc)
+			r, err := runInserts(ek, st, sc, 1)
 			if err != nil {
 				return nil, err
 			}
-			store, err := OpenStructure(st, setup.Engine)
-			if err != nil {
-				return nil, err
-			}
-			if err := populate(store, st, sc.Entries, 1); err != nil {
-				return nil, err
-			}
-			s0 := setup.Engine.Stats().Snapshot()
-			p0 := setup.Pool.Stats()
-			elapsed, err := measureInsertThroughput(store, st, sc.Entries, sc.Ops, 1)
-			if err != nil {
-				return nil, err
-			}
-			ds := setup.Engine.Stats().Snapshot().Sub(s0)
-			dp := setup.Pool.Stats().Sub(p0)
-			entries, bytes := statsPerTx(ds, sc.Ops)
-			t.add(string(ek), string(st), opsPerSec(sc.Ops, elapsed),
+			entries, bytes := statsPerTx(r.eng, sc.Ops)
+			t.add(string(ek), string(st), opsPerSec(sc.Ops, r.elapsed),
 				entries, bytes,
-				float64(dp.Flushes)/float64(sc.Ops),
-				float64(dp.Fences)/float64(sc.Ops))
+				perOp(r.pool.Flushes, sc.Ops), perOp(r.pool.Fences, sc.Ops))
 		}
 	}
 	return t, nil
@@ -154,22 +167,11 @@ func Fig8(sc Scale) (*Table, error) {
 	}
 	for _, st := range AllStructures {
 		// Clobber.
-		setup, err := NewSetup(EngineClobber, sc)
+		r, err := runInserts(EngineClobber, st, sc, 1)
 		if err != nil {
 			return nil, err
 		}
-		store, err := OpenStructure(st, setup.Engine)
-		if err != nil {
-			return nil, err
-		}
-		if err := populate(store, st, sc.Entries, 1); err != nil {
-			return nil, err
-		}
-		s0 := setup.Engine.Stats().Snapshot()
-		if _, err := measureInsertThroughput(store, st, sc.Entries, sc.Ops, 1); err != nil {
-			return nil, err
-		}
-		ce, cb := statsPerTx(setup.Engine.Stats().Snapshot().Sub(s0), sc.Ops)
+		ce, cb := statsPerTx(r.eng, sc.Ops)
 		t.add("clobber", string(st), ce, cb)
 
 		// The instrumentation meters over identical fresh pools/workloads.

@@ -3,8 +3,10 @@ package harness
 import (
 	"testing"
 
+	"clobbernvm/internal/atlas"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/obs"
+	"clobbernvm/internal/ycsb"
 )
 
 // gcTestScale is a small single-structure workload: big enough that the
@@ -120,4 +122,64 @@ func TestClobberGroupCommitSavesFences(t *testing.T) {
 	}
 	t.Logf("fences: off=%d on=%d (saved %d, mean occupancy %.2f)",
 		off, on, gcs.FencesSaved, gcs.MeanOccupancy())
+}
+
+// TestBaselineFencesPerInsertExact pins the three baseline engines' hashmap
+// insert at the fences their logging discipline costs and nothing else: every
+// Alloc and Free of the transaction rides those fences, so the only other
+// term is the allocator's chunk refill (a central grab plus a record committed
+// on the spot: three fences, once per 64 KiB).
+func TestBaselineFencesPerInsertExact(t *testing.T) {
+	const refillFences = 3
+	for _, tc := range []struct {
+		engine EngineKind
+		// perTx is the fence count of one insert that wrote entries log
+		// entries, the commits-th commit of the engine's life.
+		perTx func(entries, commits int64) int64
+	}{
+		// begin + one per undo entry + commit + status.
+		{EnginePMDK, func(entries, _ int64) int64 { return 1 + entries + 1 + 1 }},
+		// Redo log batch + commit marker + in-place apply + idle status,
+		// however many ranges the write set has.
+		{EngineMnemosyne, func(_, _ int64) int64 { return 4 }},
+		// As pmdk, plus the dependency-ring append, plus the snapshot scan's
+		// fence every atlas.SnapshotInterval commits.
+		{EngineAtlas, func(entries, commits int64) int64 {
+			n := 1 + entries + 1 + 1 + 1
+			if commits%atlas.SnapshotInterval == 0 {
+				n++
+			}
+			return n
+		}},
+	} {
+		t.Run(string(tc.engine), func(t *testing.T) {
+			sc := gcTestScale
+			setup, err := NewSetup(tc.engine, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, err := OpenStructure(StructHashMap, setup.Engine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := populate(store, StructHashMap, sc.Entries, 1); err != nil {
+				t.Fatal(err)
+			}
+			g := ycsb.NewGenerator(ycsb.WorkloadLoad, 0, KeySize(StructHashMap), ValueSize, 3)
+			for i := 0; i < sc.Ops; i++ {
+				s0, p0 := setup.Engine.Stats().Snapshot(), setup.Pool.Stats()
+				_, _, _, r0 := setup.Alloc.Stats().Snapshot()
+				if err := store.Insert(0, g.Key(sc.Entries+i), g.Next().Value); err != nil {
+					t.Fatal(err)
+				}
+				s1 := setup.Engine.Stats().Snapshot()
+				_, _, _, r1 := setup.Alloc.Stats().Snapshot()
+				want := tc.perTx(s1.LogEntries-s0.LogEntries, s1.Committed) + refillFences*(r1-r0)
+				if got := setup.Pool.Stats().Sub(p0).Fences; got != want {
+					t.Fatalf("insert %d: %d fences, want %d (%d log entries, %d refills)",
+						i, got, want, s1.LogEntries-s0.LogEntries, r1-r0)
+				}
+			}
+		})
+	}
 }

@@ -71,26 +71,29 @@ func TestFig6Shape(t *testing.T) {
 		t.Fatalf("fig6 rows = %d", len(tab.Rows))
 	}
 	for _, st := range AllStructures {
-		get := func(engine string) float64 {
+		row := func(engine string) []string {
 			rows := find(t, tab, map[string]string{"engine": engine, "structure": string(st)})
 			if len(rows) != 1 {
 				t.Fatalf("fig6 %s/%s: %d rows", engine, st, len(rows))
 			}
-			return cellF(t, tab, rows[0], "ops_per_sec")
+			if cellF(t, tab, rows[0], "ops_per_sec") <= 0 {
+				t.Fatalf("fig6 %s/%s: zero throughput", engine, st)
+			}
+			return rows[0]
 		}
-		clobber, pmdk, atlasT := get("clobber"), get("pmdk"), get("atlas")
-		if clobber <= 0 || pmdk <= 0 {
-			t.Fatalf("fig6 %s: zero throughput", st)
-		}
-		// Headline shape: clobber beats PMDK undo and Atlas at one thread.
-		// A 10% noise margin absorbs scheduler jitter on shared hosts; the
-		// deterministic counter assertions in TestFig7Shape carry the exact
-		// claims.
-		if clobber < 0.9*pmdk {
-			t.Errorf("fig6 %s: clobber (%.0f) clearly slower than pmdk (%.0f)", st, clobber, pmdk)
-		}
-		if clobber < 0.9*atlasT {
-			t.Errorf("fig6 %s: clobber (%.0f) clearly slower than atlas (%.0f)", st, clobber, atlasT)
+		// Headline shape: clobber beats PMDK undo and Atlas at one thread,
+		// asserted on what decides it under the cost model and repeats exactly
+		// per run — every insert persists fewer log bytes, issues fewer
+		// flushes and waits on fewer fences. The throughput itself is
+		// benchfigs' and bench/'s to measure.
+		clobber := row("clobber")
+		for _, rival := range []string{"pmdk", "atlas"} {
+			for _, col := range []string{"log_bytes_per_tx", "flushes_per_tx", "fences_per_tx"} {
+				c, r := cellF(t, tab, clobber, col), cellF(t, tab, row(rival), col)
+				if c >= r {
+					t.Errorf("fig6 %s: clobber %s (%v) not < %s (%v)", st, col, c, rival, r)
+				}
+			}
 		}
 	}
 	if !strings.Contains(tab.CSV(), "engine,structure") {
@@ -209,15 +212,19 @@ func TestFig11Shape(t *testing.T) {
 			t.Error("fig11: nolog elapsed <= 0")
 		}
 	}
-	// Clobber's overhead over No-log stays close to or below PMDK's: §5.7
-	// reports 68% vs 74% at q=6, so they run near parity — allow slack for
-	// the tiny scale's timing noise.
+	// Clobber's overhead over No-log stays close to or below PMDK's (§5.7
+	// reports 68% vs 74% at q=6). Asserted on the per-task persistence costs
+	// that overhead is made of, which repeat exactly per run: clobber logs
+	// fewer bytes, flushes fewer lines and waits on fewer fences.
 	for _, tree := range []string{"rbtree", "avltree"} {
-		for _, q := range []string{"2", "6"} {
+		for _, q := range []string{"2", "4", "6"} {
 			cl := find(t, tab, map[string]string{"engine": "clobber", "tree": tree, "queries_per_task": q})
 			pm := find(t, tab, map[string]string{"engine": "pmdk", "tree": tree, "queries_per_task": q})
-			if cellF(t, tab, cl[0], "elapsed_ms") > 1.5*cellF(t, tab, pm[0], "elapsed_ms") {
-				t.Errorf("fig11 %s q=%s: clobber much slower than pmdk", tree, q)
+			for _, col := range []string{"log_bytes_per_task", "flushes_per_task", "fences_per_task"} {
+				c, p := cellF(t, tab, cl[0], col), cellF(t, tab, pm[0], col)
+				if c >= p {
+					t.Errorf("fig11 %s q=%s: clobber %s (%v) not < pmdk (%v)", tree, q, col, c, p)
+				}
 			}
 		}
 	}

@@ -95,22 +95,11 @@ var reportEngines = []EngineKind{EngineClobber, EnginePMDK, EngineMnemosyne, Eng
 // measureInsert provisions a fresh setup, populates it, and times ops
 // inserts across threads, returning ns/op.
 func measureInsert(ek EngineKind, st StructureKind, sc Scale, threads int) (float64, error) {
-	setup, err := NewSetup(ek, sc)
+	r, err := runInserts(ek, st, sc, threads)
 	if err != nil {
 		return 0, err
 	}
-	store, err := OpenStructure(st, setup.Engine)
-	if err != nil {
-		return 0, err
-	}
-	if err := populate(store, st, sc.Entries, 1); err != nil {
-		return 0, err
-	}
-	elapsed, err := measureInsertThroughput(store, st, sc.Entries, sc.Ops, threads)
-	if err != nil {
-		return 0, err
-	}
-	return float64(elapsed.Nanoseconds()) / float64(sc.Ops), nil
+	return float64(r.elapsed.Nanoseconds()) / float64(sc.Ops), nil
 }
 
 // RunBenchReport measures the report's two sweeps at the given scale. The

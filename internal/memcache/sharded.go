@@ -172,14 +172,7 @@ func (b *ShardedBackend) LastReports() txn.RecoveryReport {
 	var merged txn.RecoveryReport
 	for _, s := range b.sups {
 		rep, _ := s.LastReport()
-		merged.Slots += rep.Slots
-		merged.Recovered += rep.Recovered
-		merged.Reexecuted += rep.Reexecuted
-		merged.RolledBack += rep.RolledBack
-		merged.RolledForward += rep.RolledForward
-		merged.FreesResumed += rep.FreesResumed
-		merged.Quarantined += rep.Quarantined
-		merged.Errors = append(merged.Errors, rep.Errors...)
+		merged.Add(rep)
 	}
 	return merged
 }

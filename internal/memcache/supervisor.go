@@ -385,7 +385,6 @@ type Status struct {
 	Reexecuted     int      `json:"reexecuted"`
 	RolledBack     int      `json:"rolled_back"`
 	RolledForward  int      `json:"rolled_forward"`
-	FreesResumed   int      `json:"frees_resumed"`
 	Quarantined    int      `json:"quarantined"`
 	Errors         []string `json:"errors,omitempty"`
 	LastError      string   `json:"last_error,omitempty"`
@@ -411,7 +410,6 @@ func (s *Supervisor) Status() Status {
 	st.Reexecuted = rep.Reexecuted
 	st.RolledBack = rep.RolledBack
 	st.RolledForward = rep.RolledForward
-	st.FreesResumed = rep.FreesResumed
 	st.Quarantined = rep.Quarantined
 	for _, e := range rep.Errors {
 		st.Errors = append(st.Errors, e.Error())

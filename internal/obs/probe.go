@@ -9,7 +9,7 @@ import "time"
 //	begin  — begin-marker / v_log persist, up to the point the txfunc
 //	         starts (clobber's two-fence budget spends one here)
 //	exec   — the txfunc body, including in-line log appends
-//	commit — commit flush + fence + deferred frees
+//	commit — commit flush + fence + allocator-record apply
 //	abort  — whole-transaction latency of aborted runs
 //
 // A nil *Probe is valid and records nothing, so callers never branch.
@@ -173,7 +173,7 @@ func (s *Span) Aborted() {
 }
 
 // RecoveryEvent traces a recovery action outside a Run span (undo/atlas
-// rollbacks, resumed frees). Trace-only.
+// rollbacks, redo replays). Trace-only.
 func (p *Probe) RecoveryEvent(slot int, seq uint64, txfunc string) {
 	if p == nil || !TraceEnabled() {
 		return

@@ -1,8 +1,8 @@
-// Package plog provides the persistent log primitives shared by the
-// failure-atomicity engines: a variable-size-entry data log (used as PMDK's
-// undo log, Clobber-NVM's clobber_log, and Mnemosyne's redo log) and a
-// fixed-size address log (used to track transactional allocations and
-// deferred frees for post-crash reclamation).
+// Package plog provides the persistent log primitive shared by the
+// failure-atomicity engines: a variable-size-entry data log, used as PMDK's
+// and Atlas's undo log, Clobber-NVM's clobber_log, and Mnemosyne's redo log.
+// (Allocations and frees are not logged here: every engine reserves them on
+// its slot's pmem.Tx, whose redo record commits with the transaction.)
 //
 // The paper builds clobber_log over PMDK's undo-log API on purpose ("this
 // design choice leaves Clobber-NVM's clobber_log very simple"); sharing one
@@ -689,138 +689,10 @@ func (l *DataLog) ScanStrict(seq uint64) ([]Entry, error) {
 	return out, nil
 }
 
-// --- AddrLog ----------------------------------------------------------------
-
-const addrLogMagic = 0x414c4f47 // "ALOG"
-
-// AddrLog is a fixed-capacity persistent list of addresses tagged with a
-// sequence number, used for transactional allocation and deferred-free
-// tracking.
-type AddrLog struct {
-	pool Pool
-	slot uint32
-	base uint64
-	cap  int // max entries
-
-	n int // volatile count for current sequence
-}
-
-const addrEntrySize = 24 // seq(8) addr(8) crc(8)
-
-// AddrLogSize returns pool bytes needed for capacity entries.
-func AddrLogSize(capacity int) uint64 { return 16 + uint64(capacity)*addrEntrySize }
-
-// FormatAddrLog initializes an address log at base.
-func FormatAddrLog(p Pool, slot int, base uint64, capacity int) *AddrLog {
-	p.Store64(base, addrLogMagic)
-	p.Store64(base+8, uint64(capacity))
-	p.Persist(base, 16)
-	return &AddrLog{pool: p, slot: uint32(slot), base: base + 16, cap: capacity}
-}
-
-// AttachAddrLog opens a previously formatted address log, validating header
-// and declared capacity against the pool bounds (see AttachDataLog).
-func AttachAddrLog(p Pool, slot int, base uint64) (*AddrLog, error) {
-	if base+16 > p.Size() || base+16 < base {
-		return nil, fmt.Errorf("%w: addr log header at %#x outside pool", txn.ErrCorruptLog, base)
-	}
-	if p.Load64(base) != addrLogMagic {
-		return nil, fmt.Errorf("%w: no addr log at %#x", txn.ErrCorruptLog, base)
-	}
-	capacity := p.Load64(base + 8)
-	if end := base + 16 + capacity*addrEntrySize; capacity > uint64(p.Size())/addrEntrySize || end > p.Size() {
-		return nil, fmt.Errorf("%w: addr log at %#x declares capacity %d beyond pool", txn.ErrCorruptLog, base, capacity)
-	}
-	return &AddrLog{pool: p, slot: uint32(slot), base: base + 16, cap: int(capacity)}, nil
-}
-
-// Reset prepares for a new sequence.
-func (l *AddrLog) Reset() { l.n = 0 }
-
-// Count returns entries appended since Reset.
-func (l *AddrLog) Count() int { return l.n }
-
-// Append records addr under seq. If fence is false the entry is flushed but
-// not fenced (best-effort logs, e.g. allocation-leak tracking, accept a
-// bounded loss window; deferred-free logs must fence).
-func (l *AddrLog) Append(seq, addr uint64, fence bool) error {
-	if l.n >= l.cap {
-		return fmt.Errorf("%w: addr log (%d entries)", ErrLogFull, l.cap)
-	}
-	at := l.base + uint64(l.n)*addrEntrySize
-	p := l.pool
-	var buf [addrEntrySize]byte
-	binary.LittleEndian.PutUint64(buf[0:], seq)
-	binary.LittleEndian.PutUint64(buf[8:], addr)
-	binary.LittleEndian.PutUint64(buf[16:], checksum(seq, addr, l.slot, nil))
-	p.Store(at, buf[:])
-	if fence {
-		p.FlushOpt(at, addrEntrySize)
-		p.Fence()
-	} else {
-		// Best-effort logs keep the strong flush: there is no guaranteed
-		// following fence, and losing the entry entirely would widen the
-		// leak window the bounded-loss contract promises.
-		p.Flush(at, addrEntrySize)
-	}
-	l.n++
-	return nil
-}
-
-// Invalidate durably destroys the log's first entry so that no sequence
-// scans anything until the next Append. Engines call this after reclaiming
-// the addresses of a dead transaction whose sequence number might be reused
-// by a later attempt.
-func (l *AddrLog) Invalidate() {
-	var zero [addrEntrySize]byte
-	l.pool.Store(l.base, zero[:])
-	l.pool.Persist(l.base, addrEntrySize)
-	l.n = 0
-}
-
-// Scan returns all valid addresses for seq in append order.
-func (l *AddrLog) Scan(seq uint64) []uint64 {
-	out, _ := l.scanFrom(seq)
-	return out
-}
-
-func (l *AddrLog) scanFrom(seq uint64) ([]uint64, int) {
-	var out []uint64
-	p := l.pool
-	i := 0
-	for ; i < l.cap; i++ {
-		at := l.base + uint64(i)*addrEntrySize
-		eseq := p.Load64(at)
-		addr := p.Load64(at + 8)
-		if eseq != seq || p.Load64(at+16) != checksum(eseq, addr, l.slot, nil) {
-			break
-		}
-		out = append(out, addr)
-	}
-	return out, i
-}
-
-// ScanStrict is Scan with corruption detection, valid only for fence-ordered
-// appends (fence=true) — see DataLog.ScanStrict for the soundness argument.
-func (l *AddrLog) ScanStrict(seq uint64) ([]uint64, error) {
-	out, stop := l.scanFrom(seq)
-	p := l.pool
-	for i := stop + 1; i < l.cap; i++ {
-		at := l.base + uint64(i)*addrEntrySize
-		eseq := p.Load64(at)
-		addr := p.Load64(at + 8)
-		if eseq == seq && p.Load64(at+16) == checksum(eseq, addr, l.slot, nil) {
-			return out, fmt.Errorf("%w: addr log slot %d: valid entry for seq %d at index %d beyond torn entry at %d",
-				txn.ErrCorruptLog, l.slot, seq, i, stop)
-		}
-	}
-	return out, nil
-}
-
 // Alignment sanity: headers stay 8-byte aligned so torn-write detection at
 // word granularity holds.
 var _ = func() struct{} {
-	if entryHeaderSize%8 != 0 || addrEntrySize%8 != 0 {
+	if entryHeaderSize%8 != 0 {
 		panic("plog: misaligned entry layout")
 	}
 	if DataLogSize(0)%8 != 0 {

@@ -127,57 +127,6 @@ func TestAttachDataLogRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestAddrLogAppendScan(t *testing.T) {
-	p := newPool(t)
-	l := FormatAddrLog(p, 2, p.HeapBase(), 16)
-	l.Reset()
-	for i := uint64(1); i <= 5; i++ {
-		if err := l.Append(9, 0x1000*i, i%2 == 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := l.Scan(9)
-	if len(got) != 5 {
-		t.Fatalf("Scan = %v", got)
-	}
-	for i, a := range got {
-		if a != 0x1000*uint64(i+1) {
-			t.Fatalf("entry %d = %#x", i, a)
-		}
-	}
-	if len(l.Scan(8)) != 0 {
-		t.Fatal("wrong-seq scan returned entries")
-	}
-}
-
-func TestAddrLogCapacity(t *testing.T) {
-	p := newPool(t)
-	l := FormatAddrLog(p, 0, p.HeapBase(), 2)
-	l.Reset()
-	l.Append(1, 1, true)
-	l.Append(1, 2, true)
-	if err := l.Append(1, 3, true); err == nil {
-		t.Fatal("over-capacity append succeeded")
-	}
-}
-
-func TestAddrLogCrashDurability(t *testing.T) {
-	p := newPool(t)
-	base := p.HeapBase()
-	l := FormatAddrLog(p, 0, base, 8)
-	l.Reset()
-	l.Append(3, 0xAA, true) // fenced → durable
-	p.Crash()
-	l2, err := AttachAddrLog(p, 0, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := l2.Scan(3)
-	if len(got) != 1 || got[0] != 0xAA {
-		t.Fatalf("fenced addr entry lost: %v", got)
-	}
-}
-
 func TestQuickDataLogRoundTrip(t *testing.T) {
 	f := func(payloads [][]byte, seq uint64) bool {
 		if seq == 0 {

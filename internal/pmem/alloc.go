@@ -44,8 +44,9 @@
 // publish and apply), or "the arena owner's status word has reached sequence
 // s" — a transaction engine binds its worker slot's status word to the arena
 // (Tx.Bind), so the record becomes committed under the fence that commits
-// the transaction. The status word is read as seq<<2|phase, phase 0 meaning
-// committed.
+// the transaction. The status word is read as seq<<2|phase; phase 1 means
+// the transaction is still ongoing, and any other phase — idle, or a redo
+// engine's "committed, applying" — means it has committed.
 //
 // Three invariants make recovery a rule instead of a log replay:
 //
@@ -57,10 +58,11 @@
 //     because every value is absolute.
 //  3. An apply is retired by a fence before the next record is written.
 //     So while record n+1 overwrites record n, committed or torn, the arena
-//     is durably in record n's state and needs neither. A transaction's begin
-//     fence does the retiring for free (the owner says so with Tx.Retired);
-//     the plain wrappers fence after their own apply, and whoever finds an
-//     apply unretired fences before writing.
+//     is durably in record n's state and needs neither. A fence the owner
+//     issues anyway does the retiring for free — the next transaction's begin
+//     fence, or the fence a redo engine puts after its in-place apply — and
+//     the owner says so with Tx.Retired; the plain wrappers fence after their
+//     own apply, and whoever finds an apply unretired fences before writing.
 //
 // Attach therefore looks at each arena's record: if it is intact and
 // committed it is re-applied, if intact and uncommitted it is invalidated.
@@ -607,7 +609,13 @@ func (t *Tx) readRecord() (record, bool) {
 	return r, true
 }
 
-// committed evaluates a record's commit condition.
+// ownerOngoing is the phase of a bound status word that says the owner's
+// transaction at that sequence has not committed. Every engine numbers its
+// ongoing phase 1 and keeps its other phases off it.
+const ownerOngoing = 1
+
+// committed evaluates a record's commit condition: the owner's status word
+// has moved past the record's sequence, or is at it and not ongoing.
 func (t *Tx) committed(r record) bool {
 	if r.commitSeq == 0 {
 		return true
@@ -616,7 +624,7 @@ func (t *Tx) committed(r record) bool {
 		return false
 	}
 	w := t.a.pool.Load64(t.commitWord)
-	return w>>2 > r.commitSeq || (w>>2 == r.commitSeq && w&3 == 0)
+	return w>>2 > r.commitSeq || (w>>2 == r.commitSeq && w&3 != ownerOngoing)
 }
 
 // settle brings the persistent arena to its last committed state and loads
@@ -967,8 +975,9 @@ func (t *Tx) Free(addr uint64) error {
 }
 
 // Retired tells the arena that its owner has fenced since the handle's last
-// Apply — a transaction's begin fence — so Publish need not. It refers to the
-// open reservation and does nothing without one.
+// Apply — a transaction's begin fence, or the fence a redo engine issues
+// after applying in place — so Publish need not. It refers to the open
+// reservation and does nothing without one.
 func (t *Tx) Retired() {
 	if t.open {
 		t.unretired = false
@@ -978,9 +987,9 @@ func (t *Tx) Retired() {
 // Publish writes the reservation's redo record, flushed but not fenced; the
 // caller's commit fence must follow. Unless Retired has vouched for a fence
 // since the previous Apply, Publish issues one first. The record is committed
-// once the bound status word (read as seq<<2|phase) reaches sequence seq with
-// phase 0, or moves past it. seq 0 commits the record as soon as it is
-// durable, for callers whose commit point is that fence itself.
+// once the bound status word (read as seq<<2|phase) reaches sequence seq in
+// any phase but ongoing (1), or moves past it. seq 0 commits the record as
+// soon as it is durable, for callers whose commit point is that fence itself.
 func (t *Tx) Publish(seq uint64) {
 	if t.open {
 		t.publish(seq)

@@ -368,9 +368,13 @@ func TestTxAbortDropsReservation(t *testing.T) {
 }
 
 // A published record takes effect exactly when the bound status word says
-// its transaction committed, whatever the crash left of the apply.
+// its transaction committed, whatever the crash left of the apply: at the
+// record's sequence every phase but ongoing (1) is a commit — idle (0), a
+// redo engine's applying (2) — and so is any later sequence.
 func TestTxRecordCommitsWithStatusWord(t *testing.T) {
-	for _, committed := range []bool{false, true} {
+	const seq = 7
+	for _, status := range []uint64{seq<<2 | 1, seq << 2, seq<<2 | 2, (seq+1)<<2 | 1} {
+		committed := status != seq<<2|1
 		p := nvm.New(1<<22, nvm.WithEviction(nvm.EvictNone))
 		a, err := Create(p)
 		if err != nil {
@@ -382,7 +386,6 @@ func TestTxRecordCommitsWithStatusWord(t *testing.T) {
 		gone, _ := a.Alloc(0, 40)
 		before := heapStateOf(t, a)
 
-		const seq = 7
 		p.Store64(w, seq<<2|1) // ongoing
 		p.Persist(w, 8)
 		addr, err := tx.Alloc(40)
@@ -394,10 +397,8 @@ func TestTxRecordCommitsWithStatusWord(t *testing.T) {
 		}
 		tx.Publish(seq)
 		p.Fence()
-		if committed {
-			p.Store64(w, seq<<2)
-			p.Persist(w, 8)
-		}
+		p.Store64(w, status)
+		p.Persist(w, 8)
 		// Power fails before Apply: only the record is durable.
 		p.Crash()
 
@@ -408,7 +409,7 @@ func TestTxRecordCommitsWithStatusWord(t *testing.T) {
 		after := heapStateOf(t, b)
 		if !committed {
 			if after != before {
-				t.Fatalf("uncommitted record changed the heap:\nbefore %+v\nafter  %+v", before, after)
+				t.Fatalf("status %#x: uncommitted record changed the heap:\nbefore %+v\nafter  %+v", status, before, after)
 			}
 			// The discarded record must stay dead when the status word
 			// moves on.
@@ -424,7 +425,7 @@ func TestTxRecordCommitsWithStatusWord(t *testing.T) {
 			continue
 		}
 		if after.FreeBlocks != before.FreeBlocks+1 || after.BumpReserve >= before.BumpReserve {
-			t.Fatalf("committed record not applied:\nbefore %+v\nafter  %+v", before, after)
+			t.Fatalf("status %#x: committed record not applied:\nbefore %+v\nafter  %+v", status, before, after)
 		}
 		// The freed block is handed out again; the committed ones are not.
 		seen := map[uint64]bool{keep: true, addr: true}

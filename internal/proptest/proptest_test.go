@@ -121,7 +121,7 @@ func brokenEngine() crashsweep.EngineSpec {
 		Name: "pmdk-skip", Style: crashsweep.StyleAtomic,
 		Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
 			return undolog.Create(p, a, undolog.Options{
-				Slots: 2, DataLogCap: 1 << 20, AllocLogCap: 128, FreeLogCap: 128,
+				Slots: 2, DataLogCap: 1 << 20, FreeLogCap: 128,
 			})
 		},
 		Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
@@ -313,7 +313,7 @@ func TestConcurrentCatchesBrokenEngine(t *testing.T) {
 	es := brokenEngine()
 	es.Create = func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
 		return undolog.Create(p, a, undolog.Options{
-			Slots: 4, DataLogCap: 1 << 20, AllocLogCap: 128, FreeLogCap: 128,
+			Slots: 4, DataLogCap: 1 << 20, FreeLogCap: 128,
 		})
 	}
 	for seed := int64(0); seed < 30; seed++ {

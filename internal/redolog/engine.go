@@ -14,7 +14,10 @@
 //
 // Mnemosyne parallelizes with transactional memory rather than locks; as in
 // the paper's comparison, what matters here is the logging strategy, so this
-// engine uses the same slot/locking discipline as the others.
+// engine uses the same slot/locking discipline as the others — and the same
+// allocator protocol: Alloc and Free reserve on the slot's pmem.Tx, whose
+// redo record is published with the redo log, commits with the same marker,
+// and is applied with the in-place writes.
 package redolog
 
 import (
@@ -31,16 +34,17 @@ import (
 )
 
 const (
-	phaseIdle     = 0
-	phaseApplying = 1 // commit marker: log is complete, apply in progress
-	phaseFreeing  = 2
+	phaseIdle = 0
+	// phaseApplying is the commit marker: the log is complete, the apply in
+	// progress. It stays off 1, the phase pmem's commit condition reads as
+	// "ongoing": this engine has no ongoing marker, and a status word at the
+	// record's sequence in any other phase commits the allocator record.
+	phaseApplying = 2
 
 	anchorMagic = 0x5245444f // "REDO"
 
-	offStatus         = 0
-	offFreeApplied    = 8
-	offReclaimApplied = 16
-	hdrSize           = 64
+	offStatus = 0
+	hdrSize   = 64
 )
 
 // rootSlot is the pool root slot anchoring this engine.
@@ -48,10 +52,11 @@ const rootSlot = 4
 
 // Options configures engine creation.
 type Options struct {
-	Slots       int
-	DataLogCap  uint64
-	AllocLogCap int
-	FreeLogCap  int
+	Slots      int
+	DataLogCap uint64
+	// FreeLogCap bounds the frees of one transaction (default 4096): it
+	// sizes the slot's allocator redo record.
+	FreeLogCap int
 	// LineLog formats the data log with the write-combined line writer
 	// (see plog.FormatDataLogLine). Attach detects the mode from the log
 	// magic, so only Create needs the flag.
@@ -64,9 +69,6 @@ func (o *Options) fill() {
 	}
 	if o.DataLogCap == 0 {
 		o.DataLogCap = 1 << 20
-	}
-	if o.AllocLogCap == 0 {
-		o.AllocLogCap = 4096
 	}
 	if o.FreeLogCap == 0 {
 		o.FreeLogCap = 4096
@@ -97,8 +99,7 @@ type slot struct {
 	id   int
 	hdr  uint64
 	dlog *plog.DataLog
-	alog *plog.AddrLog
-	flog *plog.AddrLog
+	tx   *pmem.Tx // the slot's arena: reservations of the running transaction
 	seq  uint64
 
 	// quarantined records why attach/recovery set this slot aside.
@@ -119,10 +120,7 @@ func Create(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
 	p.Store64(anchor, anchorMagic)
 	p.Store64(anchor+8, uint64(opts.Slots))
 
-	dlogOff := uint64(hdrSize)
-	alogOff := dlogOff + plog.DataLogSize(opts.DataLogCap)
-	flogOff := alogOff + plog.AddrLogSize(opts.AllocLogCap)
-	slotSize := flogOff + plog.AddrLogSize(opts.FreeLogCap)
+	slotSize := hdrSize + plog.DataLogSize(opts.DataLogCap)
 
 	for i := 0; i < opts.Slots; i++ {
 		base, err := a.Alloc(i, slotSize)
@@ -131,13 +129,16 @@ func Create(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
 		}
 		p.Store(base, make([]byte, hdrSize))
 		p.Persist(base, hdrSize)
-		e.slots = append(e.slots, &slot{
+		s := &slot{
 			id:   i,
 			hdr:  base,
-			dlog: plog.FormatDataLogMode(p, i, base+dlogOff, opts.DataLogCap, opts.LineLog),
-			alog: plog.FormatAddrLog(p, i, base+alogOff, opts.AllocLogCap),
-			flog: plog.FormatAddrLog(p, i, base+flogOff, opts.FreeLogCap),
-		})
+			dlog: plog.FormatDataLogMode(p, i, base+hdrSize, opts.DataLogCap, opts.LineLog),
+			tx:   a.Tx(i),
+		}
+		if err := s.tx.Bind(base+offStatus, opts.FreeLogCap); err != nil {
+			return nil, fmt.Errorf("redolog: create slot %d: %w", i, err)
+		}
+		e.slots = append(e.slots, s)
 		p.Store64(anchor+16+uint64(i)*8, base)
 	}
 	p.Persist(anchor, anchorSize)
@@ -167,27 +168,14 @@ func Attach(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
 	e.probe = obs.NewProbe(e.Name())
 	for i := 0; i < n; i++ {
 		base := p.Load64(anchor + 16 + uint64(i)*8)
-		s := &slot{id: i, hdr: base}
+		s := &slot{id: i, hdr: base, tx: a.Tx(i)}
 		e.slots = append(e.slots, s)
 		dlog, err := plog.AttachDataLog(p, i, base+hdrSize)
 		if err != nil {
 			e.quarantine(s, fmt.Errorf("redolog: slot %d: %w", i, err))
 			continue
 		}
-		dcap := p.Load64(base + hdrSize + 8)
-		alogOff := uint64(hdrSize) + plog.DataLogSize(dcap)
-		alog, err := plog.AttachAddrLog(p, i, base+alogOff)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("redolog: slot %d: %w", i, err))
-			continue
-		}
-		acap := int(p.Load64(base + alogOff + 8))
-		flog, err := plog.AttachAddrLog(p, i, base+alogOff+plog.AddrLogSize(acap))
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("redolog: slot %d: %w", i, err))
-			continue
-		}
-		s.dlog, s.alog, s.flog = dlog, alog, flog
+		s.dlog = dlog
 		s.seq = p.Load64(base+offStatus) >> 2
 	}
 	return e, nil
@@ -239,23 +227,15 @@ func (e *Engine) Run(slotID int, name string, args *txn.Args) error {
 	seq := s.seq + 1
 	s.seq = seq
 	s.dlog.Reset()
-	s.alog.Reset()
-	s.flog.Reset()
-	p := e.pool
-	p.Store64(s.hdr+offFreeApplied, 0)
-	p.Store64(s.hdr+offReclaimApplied, 0)
-	p.Flush(s.hdr, 24)
 	sp.BeginDone(seq)
 
 	m := &mem{e: e, s: s, seq: seq, ws: make(map[uint64]wsEntry)}
+	// Whatever way the txfunc leaves without committing — error, panic,
+	// simulated crash — its reservations are dropped and the arena released.
+	defer s.tx.Abort()
 	if err := fn(m, args); err != nil {
-		// Aborting a redo transaction is trivial: discard the write set.
-		// Eager allocations must be reclaimed, and the alloc log durably
-		// invalidated so a crash cannot replay these frees.
-		for _, addr := range s.alog.Scan(seq) {
-			_ = e.alloc.Free(addr)
-		}
-		s.alog.Invalidate()
+		// Aborting a redo transaction is trivial: the write set and the
+		// reservations are volatile, and both are discarded.
 		sp.Aborted()
 		return err
 	}
@@ -266,8 +246,9 @@ func (e *Engine) Run(slotID int, name string, args *txn.Args) error {
 	return nil
 }
 
-// commit serializes the write set to the redo log (one fence for the whole
-// batch), persists the commit marker, applies the writes in place, and
+// commit serializes the write set to the redo log and publishes the allocator
+// record beside it (one fence for both), persists the commit marker, applies
+// the writes in place and the record to the heap (one fence for both), and
 // invalidates the log.
 func (e *Engine) commit(s *slot, seq uint64, m *mem, sp *obs.Span) {
 	p := e.pool
@@ -282,8 +263,12 @@ func (e *Engine) commit(s *slot, seq uint64, m *mem, sp *obs.Span) {
 	if err != nil {
 		panic(fmt.Errorf("%w: %v", ErrTxTooLarge, err))
 	}
-	// One groupable ordering fence makes the whole batch durable before
-	// the commit marker below can win.
+	// The fence that follows every in-place apply below has retired the
+	// previous transaction's allocator apply.
+	s.tx.Retired()
+	s.tx.Publish(seq)
+	// One groupable ordering fence makes the whole batch, and the allocator
+	// record, durable before the commit marker below can win.
 	p.CommitFence()
 	e.stats.LogEntries.Add(int64(len(ranges)))
 	e.stats.LogBytes.Add(int64(nbytes))
@@ -293,36 +278,18 @@ func (e *Engine) commit(s *slot, seq uint64, m *mem, sp *obs.Span) {
 	p.Store64(s.hdr+offStatus, seq<<2|phaseApplying)
 	p.CommitPersist(s.hdr+offStatus, 8)
 
-	// Apply in place and persist the home locations.
+	// Apply in place, the writes to their home locations and the allocator
+	// record to the heap, and persist both under one fence.
 	for _, r := range ranges {
 		p.Store(r.addr, r.data)
 		p.FlushOpt(r.addr, uint64(len(r.data)))
 	}
+	s.tx.Apply()
 	p.CommitFence()
 	sp.FlushFence(len(ranges))
 
-	if m.frees > 0 {
-		p.Store64(s.hdr+offStatus, seq<<2|phaseFreeing)
-		p.CommitPersist(s.hdr+offStatus, 8)
-		e.applyFrees(s, seq, 0)
-	}
 	p.Store64(s.hdr+offStatus, seq<<2|phaseIdle)
 	p.CommitPersist(s.hdr+offStatus, 8)
-}
-
-func (e *Engine) applyFrees(s *slot, seq, from uint64) {
-	e.applyFreeList(s, s.flog.Scan(seq), from)
-}
-
-func (e *Engine) applyFreeList(s *slot, addrs []uint64, from uint64) {
-	p := e.pool
-	for i := from; i < uint64(len(addrs)); i++ {
-		p.Store64(s.hdr+offFreeApplied, i+1)
-		p.CommitPersist(s.hdr+offFreeApplied, 8)
-		if err := e.alloc.Free(addrs[i]); err != nil {
-			continue
-		}
-	}
 }
 
 // RunRO implements txn.Engine. Mnemosyne interposes on every transactional
@@ -338,8 +305,7 @@ func (e *Engine) RunRO(slotID int, fn txn.ROFunc) error {
 }
 
 // Recover implements txn.Engine: committed-but-unapplied logs are replayed
-// (roll forward); uncommitted transactions left no persistent trace beyond
-// eagerly allocated blocks, which are reclaimed.
+// (roll forward); uncommitted transactions left no persistent trace.
 func (e *Engine) Recover() (int, error) {
 	rep, err := e.RecoverReport()
 	return rep.Recovered, err
@@ -350,7 +316,9 @@ func (e *Engine) Recover() (int, error) {
 // replay time the log is fence-ordered and the strict scan's
 // valid-after-invalid corruption test is sound. A corrupt log quarantines
 // the slot before ANY entry is applied — a partial redo replay would tear
-// the committed state it claims to complete.
+// the committed state it claims to complete. The heap needs no step:
+// pmem.Attach has already settled every arena by its redo record, applying
+// the one a durable commit marker committed and discarding any other.
 func (e *Engine) RecoverReport() (txn.RecoveryReport, error) {
 	var rep txn.RecoveryReport
 	rep.Slots = len(e.slots)
@@ -401,41 +369,19 @@ func (e *Engine) recoverSlot(s *slot, rep *txn.RecoveryReport) {
 			p.FlushOpt(en.Addr, uint64(len(en.Data)))
 		}
 		p.Fence()
-		e.applyFrees(s, seq, p.Load64(s.hdr+offFreeApplied))
 		p.Store64(s.hdr+offStatus, seq<<2|phaseIdle)
 		p.Persist(s.hdr+offStatus, 8)
 		e.stats.Recovered.Add(1)
 		e.probe.RecoveryEvent(s.id, seq, "")
 		rep.Recovered++
 		rep.RolledForward++
-	case phaseFreeing:
-		addrs, err := s.flog.ScanStrict(seq)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("redolog: slot %d: free log: %w", s.id, err))
-			return
-		}
-		e.applyFreeList(s, addrs, p.Load64(s.hdr+offFreeApplied))
-		p.Store64(s.hdr+offStatus, seq<<2|phaseIdle)
-		p.Persist(s.hdr+offStatus, 8)
-		rep.FreesResumed++
 	case phaseIdle:
-		// Idle. A transaction that started after the last commit but
-		// never reached its commit point ran under seq+1 (the status
-		// word only advances at commit); its eager allocations are
-		// leaked blocks to reclaim. Allocations recorded under seq
-		// belong to the committed transaction and are live.
-		allocs := s.alog.Scan(seq + 1)
-		for i := p.Load64(s.hdr + offReclaimApplied); i < uint64(len(allocs)); i++ {
-			p.Store64(s.hdr+offReclaimApplied, i+1)
-			p.Persist(s.hdr+offReclaimApplied, 8)
-			_ = e.alloc.Free(allocs[i])
-		}
-		if len(allocs) > 0 {
-			s.alog.Invalidate()
-		}
-		// A crashed attempt may have written redo entries under seq+1
+		// Idle. A transaction that started after the last commit but never
+		// reached its commit point ran under seq+1 (the status word only
+		// advances at commit). It may have written redo entries under seq+1
 		// without reaching its commit marker; destroy them so a future
-		// attempt reusing that sequence cannot replay them.
+		// attempt reusing that sequence cannot replay them. (Its allocator
+		// record, if it got that far, pmem.Attach has already invalidated.)
 		s.dlog.Invalidate()
 		// Invalidate alone is not enough: it destroys only the first
 		// entry, while the dead attempt's unfenced batch may have left
@@ -470,8 +416,7 @@ type mem struct {
 	seq uint64
 	ro  bool
 
-	ws    map[uint64]wsEntry
-	frees int
+	ws map[uint64]wsEntry
 }
 
 var _ txn.Mem = (*mem)(nil)
@@ -534,32 +479,32 @@ func (m *mem) Store64(addr uint64, v uint64) {
 	m.Store(addr, buf[:])
 }
 
-// Alloc implements txn.Mem: allocation is eager (journaled by the
-// allocator) and recorded for reclamation if the transaction aborts.
+// Alloc implements txn.Mem: a reservation in the slot's arena, persistent
+// only once the transaction commits.
 func (m *mem) Alloc(size uint64) (txn.Addr, error) {
 	if m.ro {
 		return 0, errors.New("redolog: alloc in read-only op")
 	}
-	addr, err := m.e.alloc.Alloc(m.s.id, size)
-	if err != nil {
-		return 0, err
-	}
-	if err := m.s.alog.Append(m.seq, addr, false); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrTxTooLarge, err)
-	}
-	return addr, nil
+	addr, err := m.s.tx.Alloc(size)
+	return addr, tooLarge(err)
 }
 
-// Free implements txn.Mem: deferred to commit.
+// Free implements txn.Mem: the block is queued and goes on the free list when
+// the commit is applied.
 func (m *mem) Free(addr txn.Addr) error {
 	if m.ro {
 		return errors.New("redolog: free in read-only op")
 	}
-	if err := m.s.flog.Append(m.seq, addr, false); err != nil {
+	return tooLarge(m.s.tx.Free(addr))
+}
+
+// tooLarge reports an overflowing allocator record as the engine's own
+// capacity error.
+func tooLarge(err error) error {
+	if errors.Is(err, pmem.ErrRecordFull) {
 		return fmt.Errorf("%w: %v", ErrTxTooLarge, err)
 	}
-	m.frees++
-	return nil
+	return err
 }
 
 type wrange struct {

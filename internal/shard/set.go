@@ -66,18 +66,6 @@ type RecoveryReport struct {
 	Workers int
 }
 
-// merge folds one per-shard report into the aggregate.
-func (r *RecoveryReport) merge(rep txn.RecoveryReport) {
-	r.Merged.Slots += rep.Slots
-	r.Merged.Recovered += rep.Recovered
-	r.Merged.Reexecuted += rep.Reexecuted
-	r.Merged.RolledBack += rep.RolledBack
-	r.Merged.RolledForward += rep.RolledForward
-	r.Merged.FreesResumed += rep.FreesResumed
-	r.Merged.Quarantined += rep.Quarantined
-	r.Merged.Errors = append(r.Merged.Errors, rep.Errors...)
-}
-
 // recoverEngine prefers the hardened report-carrying recovery; the legacy
 // count-only path keeps crippled test engines runnable.
 func recoverEngine(eng pds.Engine) (txn.RecoveryReport, error) {
@@ -157,7 +145,7 @@ func (s *Set) RecoverAll(workers int) (RecoveryReport, error) {
 	wg.Wait()
 	out.WallNS = time.Since(start).Nanoseconds()
 	for _, rep := range out.PerShard {
-		out.merge(rep)
+		out.Merged.Add(rep)
 	}
 	return out, firstErr
 }

@@ -28,9 +28,6 @@ type RecoveryReport struct {
 	RolledBack int
 	// RolledForward counts slots completed by redo replay (redolog).
 	RolledForward int
-	// FreesResumed counts slots whose interrupted commit-time free
-	// processing was resumed.
-	FreesResumed int
 	// Quarantined counts slots whose logs failed validation. Their
 	// persistent state is preserved untouched; Run on them returns
 	// ErrSlotQuarantined.
@@ -38,6 +35,18 @@ type RecoveryReport struct {
 	// Errors holds one error per quarantined slot (wrapping ErrCorruptLog
 	// or the panic that recovery converted).
 	Errors []error
+}
+
+// Add folds o into r, counter by counter: how the reports of several pools
+// (shards) merge into one.
+func (r *RecoveryReport) Add(o RecoveryReport) {
+	r.Slots += o.Slots
+	r.Recovered += o.Recovered
+	r.Reexecuted += o.Reexecuted
+	r.RolledBack += o.RolledBack
+	r.RolledForward += o.RolledForward
+	r.Quarantined += o.Quarantined
+	r.Errors = append(r.Errors, o.Errors...)
 }
 
 // RecoveryReporter is implemented by engines with hardened recovery. The

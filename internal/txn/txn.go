@@ -47,9 +47,9 @@ type Mem interface {
 	Store(addr Addr, data []byte)
 	// Store64 writes a little-endian uint64.
 	Store64(addr Addr, v uint64)
-	// Alloc allocates persistent memory (pmalloc). The allocation is owned
-	// by the transaction until commit; engines reclaim it if the
-	// transaction is interrupted and rolled back or re-executed.
+	// Alloc allocates persistent memory (pmalloc). The allocation is a
+	// reservation until commit: an interrupted transaction that is rolled
+	// back, discarded or re-executed leaves the heap as it found it.
 	Alloc(size uint64) (Addr, error)
 	// Free releases a persistent allocation. Engines defer the actual
 	// release to commit so that interrupted transactions can recover.

@@ -22,7 +22,7 @@ func TestRecoveryQuarantinesTruncatedUndoLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Create(p, a, Options{Slots: 2, DataLogCap: 1 << 16, AllocLogCap: 64, FreeLogCap: 64})
+	e, err := Create(p, a, Options{Slots: 2, DataLogCap: 1 << 16, FreeLogCap: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

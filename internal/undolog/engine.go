@@ -1,14 +1,21 @@
 // Package undolog implements a PMDK-v1.6-style failure-atomicity engine:
 // hybrid undo logging for data (every first store to a location snapshots the
-// old value, with a flush+fence per log entry) and journaled/redo-style
-// allocation, mirroring libpmemobj's hybrid transactions (PMDK PR #2716).
-// It is the primary industrial baseline of the paper ("PMDK" in every
-// figure).
+// old value, with a flush+fence per log entry) and redo-style allocation,
+// mirroring libpmemobj's hybrid transactions (PMDK PR #2716). It is the
+// primary industrial baseline of the paper ("PMDK" in every figure).
 //
-// The engine shares the log subsystem (package plog) with the clobber
-// engine, exactly as the paper's clobber_log is built over PMDK's undo-log
-// API — so measured differences between the two come only from *what* they
-// log and how they recover, not from implementation quality.
+// The engine shares the log subsystem (package plog) and the allocator
+// protocol (pmem.Tx) with the clobber engine, exactly as the paper's
+// clobber_log is built over PMDK's undo-log API and both call the same
+// libpmemobj allocator — so measured differences between the two come only
+// from *what* they log and how they recover, not from implementation quality.
+//
+// Allocation has no log here. Alloc reserves from the allocator's volatile
+// mirror of the slot's arena and Free only queues; commit publishes one
+// allocator redo record ahead of the commit fence, conditioned on this slot's
+// status word, and applies it after the idle status is durable. A rolled-back
+// transaction never touched the persistent heap, so neither abort nor
+// recovery has anything to reclaim (see package pmem).
 //
 // What gets logged: every store to a not-yet-logged location, including
 // stores that initialize freshly allocated objects. This matches the PMDK
@@ -30,16 +37,16 @@ import (
 )
 
 const (
+	// phaseIdle is the committed state of the slot's last transaction, and
+	// phaseOngoing (1) the one phase pmem's commit condition reads as "not
+	// committed".
 	phaseIdle    = 0
 	phaseOngoing = 1
-	phaseFreeing = 2
 
 	anchorMagic = 0x554e444f // "UNDO"
 
-	offStatus         = 0
-	offFreeApplied    = 8
-	offReclaimApplied = 16
-	hdrSize           = 64
+	offStatus = 0
+	hdrSize   = 64
 )
 
 // rootSlot is the pool root slot anchoring this engine.
@@ -47,10 +54,11 @@ const rootSlot = 3
 
 // Options configures engine creation.
 type Options struct {
-	Slots       int
-	DataLogCap  uint64
-	AllocLogCap int
-	FreeLogCap  int
+	Slots      int
+	DataLogCap uint64
+	// FreeLogCap bounds the frees of one transaction (default 4096): it
+	// sizes the slot's allocator redo record.
+	FreeLogCap int
 	// LineLog formats the data log with the write-combined line writer
 	// (see plog.FormatDataLogLine). Attach detects the mode from the log
 	// magic, so only Create needs the flag.
@@ -63,9 +71,6 @@ func (o *Options) fill() {
 	}
 	if o.DataLogCap == 0 {
 		o.DataLogCap = 1 << 20
-	}
-	if o.AllocLogCap == 0 {
-		o.AllocLogCap = 4096
 	}
 	if o.FreeLogCap == 0 {
 		o.FreeLogCap = 4096
@@ -96,13 +101,14 @@ type slot struct {
 	id   int
 	hdr  uint64
 	dlog *plog.DataLog
-	alog *plog.AddrLog
-	flog *plog.AddrLog
+	tx   *pmem.Tx // the slot's arena: reservations of the running transaction
 	seq  uint64
 
 	// ltab is the per-slot undo-log tracking table, reused across
 	// transactions (the slot lock covers the whole Run).
 	ltab *lineTable
+	// old stages an undo entry's pre-store bytes.
+	old []byte
 
 	// quarantined records why attach/recovery set this slot aside.
 	quarantined error
@@ -122,10 +128,7 @@ func Create(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
 	p.Store64(anchor, anchorMagic)
 	p.Store64(anchor+8, uint64(opts.Slots))
 
-	dlogOff := uint64(hdrSize)
-	alogOff := dlogOff + plog.DataLogSize(opts.DataLogCap)
-	flogOff := alogOff + plog.AddrLogSize(opts.AllocLogCap)
-	slotSize := flogOff + plog.AddrLogSize(opts.FreeLogCap)
+	slotSize := hdrSize + plog.DataLogSize(opts.DataLogCap)
 
 	for i := 0; i < opts.Slots; i++ {
 		base, err := a.Alloc(i, slotSize)
@@ -134,13 +137,16 @@ func Create(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
 		}
 		p.Store(base, make([]byte, hdrSize))
 		p.Persist(base, hdrSize)
-		e.slots = append(e.slots, &slot{
+		s := &slot{
 			id:   i,
 			hdr:  base,
-			dlog: plog.FormatDataLogMode(p, i, base+dlogOff, opts.DataLogCap, opts.LineLog),
-			alog: plog.FormatAddrLog(p, i, base+alogOff, opts.AllocLogCap),
-			flog: plog.FormatAddrLog(p, i, base+flogOff, opts.FreeLogCap),
-		})
+			dlog: plog.FormatDataLogMode(p, i, base+hdrSize, opts.DataLogCap, opts.LineLog),
+			tx:   a.Tx(i),
+		}
+		if err := s.tx.Bind(base+offStatus, opts.FreeLogCap); err != nil {
+			return nil, fmt.Errorf("undolog: create slot %d: %w", i, err)
+		}
+		e.slots = append(e.slots, s)
 		p.Store64(anchor+16+uint64(i)*8, base)
 	}
 	p.Persist(anchor, anchorSize)
@@ -170,27 +176,14 @@ func Attach(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
 	e.probe = obs.NewProbe(e.Name())
 	for i := 0; i < n; i++ {
 		base := p.Load64(anchor + 16 + uint64(i)*8)
-		s := &slot{id: i, hdr: base}
+		s := &slot{id: i, hdr: base, tx: a.Tx(i)}
 		e.slots = append(e.slots, s)
 		dlog, err := plog.AttachDataLog(p, i, base+hdrSize)
 		if err != nil {
 			e.quarantine(s, fmt.Errorf("undolog: slot %d: %w", i, err))
 			continue
 		}
-		dcap := p.Load64(base + hdrSize + 8)
-		alogOff := uint64(hdrSize) + plog.DataLogSize(dcap)
-		alog, err := plog.AttachAddrLog(p, i, base+alogOff)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("undolog: slot %d: %w", i, err))
-			continue
-		}
-		acap := int(p.Load64(base + alogOff + 8))
-		flog, err := plog.AttachAddrLog(p, i, base+alogOff+plog.AddrLogSize(acap))
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("undolog: slot %d: %w", i, err))
-			continue
-		}
-		s.dlog, s.alog, s.flog = dlog, alog, flog
+		s.dlog = dlog
 		s.seq = p.Load64(base+offStatus) >> 2
 	}
 	return e, nil
@@ -243,15 +236,10 @@ func (e *Engine) Run(slotID int, name string, args *txn.Args) error {
 	p := e.pool
 
 	// Begin: persist the ongoing marker so recovery knows to roll back.
-	p.Store64(s.hdr+offFreeApplied, 0)
-	p.Store64(s.hdr+offReclaimApplied, 0)
-	p.Store64(s.hdr+offStatus, seq<<2|phaseOngoing)
-	p.CommitPersist(s.hdr+offStatus, 8) // freeApplied shares the line
+	e.setStatus(s, seq, phaseOngoing)
 	sp.BeginDone(seq)
 	s.seq = seq
 	s.dlog.Reset()
-	s.alog.Reset()
-	s.flog.Reset()
 
 	if s.ltab == nil {
 		s.ltab = newLineTable()
@@ -259,6 +247,9 @@ func (e *Engine) Run(slotID int, name string, args *txn.Args) error {
 		s.ltab.reset()
 	}
 	m := &mem{e: e, s: s, seq: seq, t: s.ltab}
+	// Whatever way the txfunc leaves without committing — error, panic,
+	// simulated crash — its reservations are dropped and the arena released.
+	defer s.tx.Abort()
 	if err := fn(m, args); err != nil {
 		// Undo logging supports true aborts: roll back in place.
 		e.rollback(s, seq)
@@ -267,15 +258,17 @@ func (e *Engine) Run(slotID int, name string, args *txn.Args) error {
 	}
 	sp.ExecDone()
 
-	// Commit: outputs durable, then invalidate the log, then frees.
+	// Commit: outputs and the allocator record durable under one fence, then
+	// the idle status, which invalidates the log and commits the record, then
+	// the record's apply, unfenced — the next begin's fence retires it, as
+	// this one's retired the last.
 	p.FlushOptLines(m.t.dirty)
+	s.tx.Retired()
+	s.tx.Publish(seq)
 	p.CommitFence()
 	sp.FlushFence(len(m.t.dirty))
-	if m.frees > 0 {
-		e.setStatus(s, seq, phaseFreeing)
-		e.applyFrees(s, seq, 0)
-	}
 	e.setStatus(s, seq, phaseIdle)
+	s.tx.Apply()
 	e.stats.Committed.Add(1)
 	sp.Committed(false)
 	return nil
@@ -286,23 +279,9 @@ func (e *Engine) setStatus(s *slot, seq, phase uint64) {
 	e.pool.CommitPersist(s.hdr+offStatus, 8)
 }
 
-func (e *Engine) applyFrees(s *slot, seq, from uint64) {
-	e.applyFreeList(s, s.flog.Scan(seq), from)
-}
-
-func (e *Engine) applyFreeList(s *slot, addrs []uint64, from uint64) {
-	p := e.pool
-	for i := from; i < uint64(len(addrs)); i++ {
-		p.Store64(s.hdr+offFreeApplied, i+1)
-		p.CommitPersist(s.hdr+offFreeApplied, 8)
-		if err := e.alloc.Free(addrs[i]); err != nil {
-			continue
-		}
-	}
-}
-
-// rollback restores all undo-logged values in reverse order, reclaims the
-// transaction's allocations, and marks the slot idle.
+// rollback restores all undo-logged values in reverse order and marks the
+// slot idle. The transaction's allocations and frees were only reserved, so
+// the heap has nothing to undo.
 func (e *Engine) rollback(s *slot, seq uint64) {
 	e.rollbackEntries(s, seq, s.dlog.Scan(seq))
 }
@@ -315,14 +294,6 @@ func (e *Engine) rollbackEntries(s *slot, seq uint64, entries []plog.Entry) {
 	}
 	if len(entries) > 0 {
 		p.Fence()
-	}
-	allocs := s.alog.Scan(seq)
-	for i := p.Load64(s.hdr + offReclaimApplied); i < uint64(len(allocs)); i++ {
-		p.Store64(s.hdr+offReclaimApplied, i+1)
-		p.Persist(s.hdr+offReclaimApplied, 8)
-		if err := e.alloc.Free(allocs[i]); err != nil {
-			continue
-		}
 	}
 	e.setStatus(s, seq, phaseIdle)
 }
@@ -343,10 +314,11 @@ func (e *Engine) Recover() (int, error) {
 }
 
 // RecoverReport implements txn.RecoveryReporter. Undo entries are fenced per
-// append and the free log is ordered by the commit fence, so both are
-// strict-scanned: corruption quarantines the slot (its persistent state kept
-// for forensics, Run returning txn.ErrSlotQuarantined) instead of replaying
-// garbage old values or panicking.
+// append, so the log is strict-scanned: corruption quarantines the slot (its
+// persistent state kept for forensics, Run returning txn.ErrSlotQuarantined)
+// instead of replaying garbage old values or panicking. The heap needs no
+// step: pmem.Attach has already settled every arena by its redo record,
+// discarding a rolled-back transaction's and completing a committed one's.
 func (e *Engine) RecoverReport() (txn.RecoveryReport, error) {
 	var rep txn.RecoveryReport
 	rep.Slots = len(e.slots)
@@ -400,15 +372,6 @@ func (e *Engine) recoverSlot(s *slot, rep *txn.RecoveryReport) {
 		e.probe.RecoveryEvent(s.id, seq, "")
 		rep.Recovered++
 		rep.RolledBack++
-	case phaseFreeing:
-		addrs, err := s.flog.ScanStrict(seq)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("undolog: slot %d: free log: %w", s.id, err))
-			return
-		}
-		e.applyFreeList(s, addrs, p.Load64(s.hdr+offFreeApplied))
-		e.setStatus(s, seq, phaseIdle)
-		rep.FreesResumed++
 	default:
 		e.quarantine(s, fmt.Errorf("%w: undolog slot %d: undefined phase %d", txn.ErrCorruptLog, s.id, phase))
 	}
@@ -420,8 +383,7 @@ type mem struct {
 	s   *slot
 	seq uint64
 
-	t     *lineTable // per-line logged-word + dirty tracking
-	frees int
+	t *lineTable // per-line logged-word + dirty tracking
 }
 
 var _ txn.Mem = (*mem)(nil)
@@ -454,7 +416,10 @@ func (m *mem) preStore(addr, n uint64) {
 		}
 	}
 	if need {
-		old := make([]byte, n)
+		if uint64(cap(m.s.old)) < n {
+			m.s.old = make([]byte, n, 2*n)
+		}
+		old := m.s.old[:n]
 		m.e.pool.Load(addr, old)
 		// Fence through CommitFence: the undo entry is still durable
 		// before the protected store runs (CommitFence blocks), but the
@@ -473,23 +438,25 @@ func (m *mem) preStore(addr, n uint64) {
 	}
 }
 
+// Alloc reserves in the slot's arena; the block is persistent only once the
+// transaction commits.
 func (m *mem) Alloc(size uint64) (txn.Addr, error) {
-	addr, err := m.e.alloc.Alloc(m.s.id, size)
-	if err != nil {
-		return 0, err
-	}
-	if err := m.s.alog.Append(m.seq, addr, false); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrTxTooLarge, err)
-	}
-	return addr, nil
+	addr, err := m.s.tx.Alloc(size)
+	return addr, tooLarge(err)
 }
 
+// Free queues the block: it goes on the free list when the commit is applied.
 func (m *mem) Free(addr txn.Addr) error {
-	if err := m.s.flog.Append(m.seq, addr, false); err != nil {
+	return tooLarge(m.s.tx.Free(addr))
+}
+
+// tooLarge reports an overflowing allocator record as the engine's own
+// capacity error.
+func tooLarge(err error) error {
+	if errors.Is(err, pmem.ErrRecordFull) {
 		return fmt.Errorf("%w: %v", ErrTxTooLarge, err)
 	}
-	m.frees++
-	return nil
+	return err
 }
 
 type roMem struct{ pool *nvm.Pool }
