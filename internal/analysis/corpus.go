@@ -38,31 +38,30 @@ func ListInsert() *ir.Func {
 	return f
 }
 
-// BPTreeInsert models a leaf insert with a key shift: the occupancy counter
-// is read-modify-written (clobber), shifted slots are read from one address
-// and written to another (the loop's first iteration clobbers; later
-// iterations are shadowed), and the new key lands in a vacated slot.
+// BPTreeInsert models a non-split leaf insert as pds/bptree.go performs it:
+// a range move, not a shift loop. The old run of key slots from the insert
+// position on is read with one load and the new image (the key, then the old
+// run) is written over the same variable address with one store; the pointer
+// run moves the same way; the occupancy counter is read-modify-written. Three
+// clobber writes — key run, pointer run, nkeys — whatever the shift distance,
+// which is also what the dynamic detector logs for it.
 func BPTreeInsert() *ir.Func {
 	f := ir.NewFunc("bptree_insert", "*leaf", "key", "val")
 	b := f.Entry()
-	cntA := b.GEP(f.Param(0), 0)
+	cntA := b.GEP(f.Param(0), 8)
 	cnt := b.Load(cntA, false) // input: occupancy
-	loop := f.NewBlock("shift")
-	done := f.NewBlock("done")
-	b.Br(loop)
+	pos := b.Arith("search", cnt)
 
-	// shift loop: slots[i+1] = slots[i] — address depends on i (GEPVar).
-	i := loop.Arith("i")
-	src := loop.GEPVar(f.Param(0), i)
-	dst := loop.GEPVar(f.Param(0), loop.Arith("i+1", i))
-	loop.Store(dst, loop.Load(src, false)) // may clobber slots read earlier
-	cond := loop.Arith("i>pos", i)
-	loop.CondBr(cond, loop, done)
+	keys := b.GEPVar(f.Param(0), b.Arith("keys+pos", pos)) // &leaf->keys[pos]
+	run := b.Load(keys, false)                             // input: old run [pos, nk)
+	b.Store(keys, b.Arith("image", f.Param(1), run))       // new image [pos, nk]  ← clobber
 
-	slot := done.GEPVar(f.Param(0), done.Arith("pos"))
-	done.Store(slot, done.Arith("kv")) // new key/value into vacated slot
-	done.Store(cntA, done.Arith("inc", cnt))
-	done.Ret()
+	ptrs := b.GEPVar(f.Param(0), b.Arith("ptrs+pos", pos)) // &leaf->ptrs[pos]
+	prun := b.Load(ptrs, false)
+	b.Store(ptrs, b.Arith("image", f.Param(2), prun)) // ← clobber
+
+	b.Store(cntA, b.Arith("inc", cnt)) // ← clobber
+	b.Ret()
 	return f
 }
 

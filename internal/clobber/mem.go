@@ -3,6 +3,7 @@ package clobber
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/obs"
@@ -15,7 +16,10 @@ import (
 // exactly where the Clobber-NVM compiler would have inserted callbacks.
 // The access map (flagTable) is the run-time stand-in for the compiler's
 // dependency analysis: it classifies each tracked word of the transaction's
-// footprint as input, stored and/or logged.
+// footprint as input, stored and/or logged. A store of any length is one
+// clobber check and at most one clobber_log entry, covering the hull of the
+// input words it overwrites (preStore): a structure that moves a run of slots
+// with one Load and one Store logs the move as one range.
 type mem struct {
 	e   *Engine
 	s   *slot
@@ -100,27 +104,41 @@ func (m *mem) Store64(addr uint64, v uint64) {
 	m.e.pool.Store64(addr, v)
 }
 
+// preStore logs what the store [addr, addr+n) clobbers: the hull — first to
+// last, clamped to the store — of its words that are inputs and not yet
+// logged. A range store therefore never pays for words the transaction did
+// not read (the free slot a right shift runs into, the tail past the last
+// input). Words inside the hull that are already logged, or are not inputs,
+// ride along with whatever they hold now; that is safe because recovery
+// restores entries in reverse order (engine.go, step 1), so an earlier entry
+// holding a word's pre-transaction value is applied after this one, and a
+// word that is no input is rewritten by the re-execution before it is read.
 func (m *mem) preStore(addr, n uint64) {
 	if n == 0 {
 		return
 	}
 	m.stored = true
-	needLog := false
+	first, last := ^uint64(0), uint64(0) // the hull, in 8-byte units; empty while first > last
+	// Conservative identification lacks the "shadowed" refinement: it cannot
+	// prove an earlier clobber write already covered a word, so it logs
+	// again (the in-loops pattern of Figure 5).
+	shadowed := !m.e.opts.Conservative
 	u1, u2 := addr>>3, (addr+n-1)>>3
 	for l := u1 >> 3; l <= u2>>3; l++ {
 		wmask := lineWords(l, u1, u2)
 		old := m.t.markStored(l, wmask)
-		if clob := old & wmask; clob != 0 {
-			// Conservative identification lacks the "shadowed" refinement:
-			// it cannot prove an earlier clobber write already covered this
-			// unit, so it logs again (the in-loops pattern of Figure 5).
-			if m.e.opts.Conservative || clob&^(old>>flagsLoggedShift) != 0 {
-				needLog = true
-			}
+		clob := old & wmask
+		if clob != 0 && shadowed {
+			clob &^= old >> flagsLoggedShift
+		}
+		if clob != 0 {
+			first = min(first, l<<3+uint64(bits.TrailingZeros32(clob)))
+			last = l<<3 + uint64(bits.Len32(clob)) - 1
 		}
 	}
-	if needLog && !m.e.opts.DisableClobberLog {
-		m.logClobber(addr, n)
+	if first <= last && !m.e.opts.DisableClobberLog {
+		lo, hi := max(addr, first<<3), min(addr+n, (last+1)<<3)
+		m.logClobber(lo, hi-lo)
 	}
 }
 

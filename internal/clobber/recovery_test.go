@@ -1,6 +1,7 @@
 package clobber
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -232,6 +233,86 @@ func TestSlotStatuses(t *testing.T) {
 	for _, st := range e2.SlotStatuses() {
 		if st.Phase != "idle" {
 			t.Fatalf("slot %d still %s after recovery", st.Slot, st.Phase)
+		}
+	}
+}
+
+// TestRangeStoreLogsHullOfClobberedInputs pins what a range store costs and
+// that it is enough. A txfunc reads words 1, 3 and 5 of a ten-word range and
+// then overwrites all ten with one Store: the clobber_log gets ONE entry
+// spanning words 1–5 (not the ten words stored, not three entries; words 2
+// and 4 ride along), in refined and conservative mode alike, and a crash
+// after the store reached media recovers to the committed result — the
+// re-execution reads the three restored inputs.
+func TestRangeStoreLogsHullOfClobberedInputs(t *testing.T) {
+	for _, conservative := range []bool{false, true} {
+		p, e := newEngine(t, Options{Conservative: conservative})
+		base := p.RootSlot(20) // root slots 20–29: ten contiguous words
+		word := func(i int) uint64 { return base + uint64(8*i) }
+		var storeOrdinal int64
+		register := func(e *Engine) {
+			e.Register("fill", func(m txn.Mem, _ *txn.Args) error {
+				for i := 0; i < 10; i++ {
+					m.Store64(word(i), uint64(100+i))
+				}
+				return nil
+			})
+			e.Register("mix", func(m txn.Mem, _ *txn.Args) error {
+				sum := m.Load64(word(1)) + m.Load64(word(3)) + m.Load64(word(5))
+				img := make([]byte, 80)
+				for i := 0; i < 10; i++ {
+					binary.LittleEndian.PutUint64(img[8*i:], sum+uint64(i))
+				}
+				m.Store(base, img)
+				storeOrdinal = p.PersistPoints(nvm.CrashAtStore)
+				return nil
+			})
+		}
+		register(e)
+		run := func(name string) {
+			t.Helper()
+			if err := e.Run(0, name, txn.NoArgs); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// A clean pass measures the entry and the range store's ordinal.
+		run("fill")
+		before := e.Stats().Snapshot()
+		p.ResetPersistPoints()
+		run("mix")
+		if d := e.Stats().Snapshot().LogEntries - before.LogEntries; d != 1 {
+			t.Fatalf("conservative=%v: range store wrote %d clobber entries, want 1", conservative, d)
+		}
+
+		// Same transaction again, power lost right after the range store,
+		// with every dirty line written back first.
+		run("fill")
+		p.SetEviction(nvm.EvictAll)
+		crashDuring(t, p, func() error { return e.Run(0, "mix", txn.NoArgs) }, storeOrdinal)
+		e2 := reopen(t, p)
+		register(e2)
+		if got := p.Load64(word(9)); got != 309+9 {
+			t.Fatalf("the range store did not reach media before the crash: word 9 = %d", got)
+		}
+		entries, err := e2.slots[0].dlog.ScanStrict(e2.SlotStatuses()[0].Seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			t.Fatalf("conservative=%v: clobber_log holds %d entries, want 1", conservative, len(entries))
+		}
+		if en := entries[0]; en.Addr != word(1) || len(en.Data) != 5*8 {
+			t.Fatalf("conservative=%v: entry covers [%#x,+%d), want words 1-5 [%#x,+40)",
+				conservative, en.Addr, len(en.Data), word(1))
+		}
+		if n, err := e2.Recover(); err != nil || n != 1 {
+			t.Fatalf("Recover = %d, %v; want 1 re-executed transaction", n, err)
+		}
+		for i := 0; i < 10; i++ {
+			if got, want := p.Load64(word(i)), uint64(101+103+105+i); got != want {
+				t.Fatalf("conservative=%v: word %d = %d after recovery, want %d", conservative, i, got, want)
+			}
 		}
 	}
 }

@@ -78,7 +78,7 @@ func RunShardedSpec(spec EngineSpec, cfg Config, shards int) (Result, error) {
 		return res, err
 	}
 
-	seedOps, liveOps := makeOps(cfg.SeedOps, cfg.LiveOps)
+	seedOps, liveOps := cfg.ops()
 	for _, o := range seedOps {
 		if err := o.run(routed); err != nil {
 			return res, fmt.Errorf("crashsweep: seed op %v: %w", o, err)
@@ -94,7 +94,7 @@ func RunShardedSpec(spec EngineSpec, cfg Config, shards int) (Result, error) {
 	// The admissible models are global: the router is deterministic, so ops
 	// before the interrupted one landed (and stayed) on survivor shards or
 	// the victim's durable state, and ops after it never ran anywhere.
-	models := make([]map[string]string, cfg.LiveOps+1)
+	models := make([]map[string]string, len(liveOps)+1)
 	models[0] = map[string]string{}
 	for _, o := range seedOps {
 		o.apply(models[0])

@@ -29,6 +29,10 @@ type Config struct {
 	// LiveOps is the crash-swept operation window (default 3): one insert
 	// of a fresh key, one update, one delete per group of three.
 	LiveOps int
+	// Script, if set, replaces the generated workload (SeedOps and LiveOps
+	// are ignored): a cell that must reach one particular code path — a
+	// split, a shift across a full node — spells out the ops that get there.
+	Script *Script
 	// PoolSize is the pool size in bytes (default 1<<23: the hashmap's
 	// bucket table plus the logging engines' per-slot undo/redo capacity
 	// for its init transaction). The whole image is restored per persist
@@ -95,6 +99,9 @@ type Result struct {
 	// also a Mismatch (a pure power failure must never corrupt a log).
 	Quarantined int
 	Mismatches  []Mismatch
+	// RefLogEntries is the engine's log-entry count for each live op of the
+	// uncrashed reference run: a fingerprint of the code path the op took.
+	RefLogEntries []int64
 	// Shards and Victim are set by RunSharded only: the shard count swept
 	// over and the shard whose persist points were crash-injected while the
 	// others had to keep their state intact.
@@ -105,49 +112,94 @@ type Result struct {
 // Ok reports whether the sweep found no consistency violations.
 func (r Result) Ok() bool { return len(r.Mismatches) == 0 }
 
-// op is one deterministic workload step.
-type op struct {
-	kind string // "insert" | "delete"
-	key  string
-	val  string
+// Op is one deterministic workload step: an insert (or update) of Key, or
+// its delete.
+type Op struct {
+	Delete   bool
+	Key, Val string
+}
+
+// Script is an explicit workload: Seed is committed before the swept window,
+// Live is the window.
+type Script struct {
+	Seed, Live []Op
+}
+
+// BPTreeTwoLevel is a workload whose live window makes the B+tree edits the
+// generated mix, with its handful of keys in one leaf, never reaches. The
+// seed builds a root over three leaves of 15, 16 and 16 keys (order 16,
+// ascending inserts split 8 / 9, then the gaps are filled); the live ops
+// insert at position 0 of the 15-key leaf (the longest shift), split the
+// middle leaf under the non-full root (a shifting internal insert), and
+// delete the first key of the full last leaf.
+func BPTreeTwoLevel() *Script {
+	var sc Script
+	seed := func(i int) {
+		sc.Seed = append(sc.Seed, Op{Key: fmt.Sprintf("k%03d", i), Val: fmt.Sprintf("sv-%03d", i)})
+	}
+	for i := 10; i <= 250; i += 10 { // leaves k010.. (8), k090.. (8), k170.. (9)
+		seed(i)
+	}
+	for i := 1; i <= 7; i++ {
+		seed(10 + i)  // first leaf: 15 keys
+		seed(170 + i) // last leaf: 16 keys
+	}
+	for i := 1; i <= 8; i++ {
+		seed(90 + i) // middle leaf: 16 keys
+	}
+	sc.Live = []Op{
+		{Key: "k000", Val: "front"},
+		{Key: "k0955", Val: "split"}, // lands in the half that stays
+		{Delete: true, Key: "k170"},
+	}
+	return &sc
 }
 
 // makeOps builds the deterministic workload: seedOps fresh inserts, then a
 // live window cycling insert-fresh / update-seeded / delete-seeded so the
 // sweep crosses allocation, in-place clobber and free paths.
-func makeOps(seedOps, liveOps int) (seed, live []op) {
+func makeOps(seedOps, liveOps int) (seed, live []Op) {
 	for i := 0; i < seedOps; i++ {
-		seed = append(seed, op{"insert", fmt.Sprintf("seed-%02d", i), fmt.Sprintf("sv-%02d", i)})
+		seed = append(seed, Op{Key: fmt.Sprintf("seed-%02d", i), Val: fmt.Sprintf("sv-%02d", i)})
 	}
 	for i := 0; i < liveOps; i++ {
 		switch i % 3 {
 		case 0:
-			live = append(live, op{"insert", fmt.Sprintf("live-%02d", i), fmt.Sprintf("lv-%02d", i)})
+			live = append(live, Op{Key: fmt.Sprintf("live-%02d", i), Val: fmt.Sprintf("lv-%02d", i)})
 		case 1:
-			live = append(live, op{"insert", seed[i%seedOps].key, fmt.Sprintf("up-%02d", i)})
+			live = append(live, Op{Key: seed[i%seedOps].Key, Val: fmt.Sprintf("up-%02d", i)})
 		default:
-			live = append(live, op{"delete", seed[(i/3)%seedOps].key, ""})
+			live = append(live, Op{Delete: true, Key: seed[(i/3)%seedOps].Key})
 		}
 	}
 	return seed, live
 }
 
+// ops returns the cell's workload: the script if it has one, else the
+// generated mix.
+func (c *Config) ops() (seed, live []Op) {
+	if c.Script != nil {
+		return c.Script.Seed, c.Script.Live
+	}
+	return makeOps(c.SeedOps, c.LiveOps)
+}
+
 // apply mirrors an op into a volatile model.
-func (o op) apply(m map[string]string) {
-	if o.kind == "delete" {
-		delete(m, o.key)
+func (o Op) apply(m map[string]string) {
+	if o.Delete {
+		delete(m, o.Key)
 	} else {
-		m[o.key] = o.val
+		m[o.Key] = o.Val
 	}
 }
 
 // run executes an op against the store.
-func (o op) run(s pds.Store) error {
-	if o.kind == "delete" {
-		_, err := s.Delete(0, []byte(o.key))
+func (o Op) run(s pds.Store) error {
+	if o.Delete {
+		_, err := s.Delete(0, []byte(o.Key))
 		return err
 	}
-	return s.Insert(0, []byte(o.key), []byte(o.val))
+	return s.Insert(0, []byte(o.Key), []byte(o.Val))
 }
 
 // Run executes the sweep for cfg using the named engine from Specs().
@@ -182,7 +234,7 @@ func RunSpec(spec EngineSpec, cfg Config) (Result, error) {
 		return res, fmt.Errorf("crashsweep: open %s: %w", cfg.Structure, err)
 	}
 
-	seedOps, liveOps := makeOps(cfg.SeedOps, cfg.LiveOps)
+	seedOps, liveOps := cfg.ops()
 	for _, o := range seedOps {
 		if err := o.run(store); err != nil {
 			return res, fmt.Errorf("crashsweep: seed op %v: %w", o, err)
@@ -199,7 +251,7 @@ func RunSpec(spec EngineSpec, cfg Config) (Result, error) {
 
 	// models[j] is the expected key-value state after j live ops; a crash
 	// during live op j must recover to models[j] or models[j+1].
-	models := make([]map[string]string, cfg.LiveOps+1)
+	models := make([]map[string]string, len(liveOps)+1)
 	models[0] = map[string]string{}
 	for _, o := range seedOps {
 		o.apply(models[0])
@@ -249,9 +301,11 @@ func RunSpec(spec EngineSpec, cfg Config) (Result, error) {
 	}
 	pool.ResetPersistPoints()
 	for _, o := range liveOps {
+		before := eng.Stats().Snapshot().LogEntries
 		if err := o.run(store); err != nil {
 			return res, fmt.Errorf("crashsweep: reference op %v: %w", o, err)
 		}
+		res.RefLogEntries = append(res.RefLogEntries, eng.Stats().Snapshot().LogEntries-before)
 	}
 	res.PersistPoints = pool.PersistPoints(cfg.Kind)
 

@@ -1,6 +1,7 @@
 package crashsweep
 
 import (
+	"fmt"
 	"testing"
 
 	"clobbernvm/internal/nvm"
@@ -128,4 +129,55 @@ func TestSweepDetectsNonAtomicEngine(t *testing.T) {
 		t.Fatal("sweep failed to detect a crash-unsafe engine")
 	}
 	t.Logf("naive engine: %d/%d points flagged", len(res.Mismatches), res.PersistPoints)
+}
+
+// TestSweepBPTreeRangeEdits sweeps the three baseline engines over the
+// workloads that reach the B+tree's range-shaped node edits (internal/clobber
+// sweeps its own engine over the same two): 16 seeds, so the first live
+// insert splits the full root leaf and builds a root, and the two-level
+// script — a 15-slot shift, a split under a non-full parent, a delete at the
+// front of a full leaf. Every persist point, three adversaries, heap audited.
+func TestSweepBPTreeRangeEdits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive sweep skipped in -short mode")
+	}
+	cells := []struct {
+		name string
+		cfg  Config
+	}{
+		{"rootsplit", Config{Structure: "bptree", SeedOps: 16, PoolSize: 1 << 22}},
+		{"twolevel", Config{Structure: "bptree", Script: BPTreeTwoLevel(), PoolSize: 1 << 22}},
+	}
+	// Recovery scans the whole data log at every point: keep it small.
+	for _, spec := range SpecsSized(sweepSlots, 64<<10) {
+		if spec.Name != "pmdk" && spec.Name != "mnemosyne" && spec.Name != "atlas" {
+			continue
+		}
+		for _, cell := range cells {
+			for _, policy := range []nvm.EvictPolicy{nvm.EvictTorn, nvm.EvictAll, nvm.EvictRandom} {
+				t.Run(fmt.Sprintf("%s/%s/%s", spec.Name, cell.name, policy), func(t *testing.T) {
+					t.Parallel()
+					cfg := cell.cfg
+					cfg.Kind, cfg.Policy, cfg.Seed = nvm.CrashAtAny, policy, 9
+					res, err := RunSpec(spec, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Crashes == 0 || res.Crashes != int(res.PersistPoints) {
+						t.Fatalf("%d crashes over %d persist points", res.Crashes, res.PersistPoints)
+					}
+					for i, m := range res.Mismatches {
+						if i == 5 {
+							t.Errorf("... %d more mismatches", len(res.Mismatches)-5)
+							break
+						}
+						t.Errorf("mismatch: %v", m)
+					}
+					if res.Recovered == 0 {
+						t.Error("no crash point needed recovery")
+					}
+				})
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 
 	"clobbernvm/internal/atlas"
@@ -179,6 +180,77 @@ func TestBaselineFencesPerInsertExact(t *testing.T) {
 					t.Fatalf("insert %d: %d fences, want %d (%d log entries, %d refills)",
 						i, got, want, s1.LogEntries-s0.LogEntries, r1-r0)
 				}
+			}
+		})
+	}
+}
+
+// TestBPTreeInsertCostIndependentOfShift pins the range-shaped node edit by
+// count: an insert into a 15-key leaf moves its run of keys and its run of
+// pointers with one store each, so what it logs does not depend on how far
+// the run is. On clobber, position 0 (fifteen slots move) and position 14
+// (one slot moves) both write exactly three clobber entries — key run,
+// pointer run, nkeys — and 1 + 3 + 2 fences (begin, one per entry, commit and
+// status); an append overwrites no input but nkeys and writes one. pmdk's
+// undo-entry count is the same at every position too.
+func TestBPTreeInsertCostIndependentOfShift(t *testing.T) {
+	const refillFences = 3
+	for _, tc := range []struct {
+		engine EngineKind
+		// entries is the exact log-entry count of an insert that shifts and
+		// of one that appends; -1 leaves a count to the position check alone.
+		shift, appendOnly int64
+		// fences is the fence count of an insert that wrote entries entries.
+		fences func(entries int64) int64
+	}{
+		{EngineClobber, 3, 1, func(entries int64) int64 { return 1 + entries + 2 }},
+		{EnginePMDK, -1, -1, func(entries int64) int64 { return 1 + entries + 1 + 1 }},
+	} {
+		t.Run(string(tc.engine), func(t *testing.T) {
+			setup, err := NewSetup(tc.engine, gcTestScale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, err := OpenStructure(StructBPTree, setup.Engine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := func(i int) []byte { return []byte(fmt.Sprintf("key-%028d", i)) }
+			val := make([]byte, ValueSize)
+			for i := 2; i <= 30; i += 2 { // a root leaf of 15 keys
+				if err := store.Insert(0, key(i), val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// insert measures one insert into the 15-key leaf and takes the
+			// key out again.
+			insert := func(i int) (entries int64) {
+				t.Helper()
+				s0, p0 := setup.Engine.Stats().Snapshot(), setup.Pool.Stats()
+				_, _, _, r0 := setup.Alloc.Stats().Snapshot()
+				if err := store.Insert(0, key(i), val); err != nil {
+					t.Fatal(err)
+				}
+				entries = setup.Engine.Stats().Snapshot().LogEntries - s0.LogEntries
+				_, _, _, r1 := setup.Alloc.Stats().Snapshot()
+				if got, want := setup.Pool.Stats().Sub(p0).Fences, tc.fences(entries)+refillFences*(r1-r0); got != want {
+					t.Fatalf("insert of key %d: %d fences, want %d (%d log entries, %d refills)", i, got, want, entries, r1-r0)
+				}
+				if ok, err := store.Delete(0, key(i)); err != nil || !ok {
+					t.Fatalf("delete of key %d: ok=%v err=%v", i, ok, err)
+				}
+				return entries
+			}
+			front, back, appended := insert(0), insert(29), insert(99)
+			t.Logf("log entries per insert: position 0 %d, position 14 %d, append %d", front, back, appended)
+			if front != back {
+				t.Fatalf("insert at position 0 wrote %d log entries, at position 14 %d: cost depends on the shift distance", front, back)
+			}
+			if tc.shift >= 0 && (front != tc.shift || appended != tc.appendOnly) {
+				t.Fatalf("log entries: shift %d, append %d; want %d and %d", front, appended, tc.shift, tc.appendOnly)
+			}
+			if appended > front {
+				t.Fatalf("an append wrote %d log entries, a shift %d", appended, front)
 			}
 		})
 	}

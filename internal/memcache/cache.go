@@ -27,6 +27,7 @@
 package memcache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -139,7 +140,7 @@ const (
 
 	itKV    = 0
 	itHNext = 8
-	itLNext = 16
+	itLNext = 16 // itLNext, itLPrev adjacent: lruPushHead stores both at once
 	itLPrev = 24
 	itFlags = 32
 	itCas   = 40
@@ -338,11 +339,14 @@ func lruUnlink(m txn.Mem, hdr, item txn.Addr) {
 	}
 }
 
-// lruPushHead makes item the most recently used.
+// lruPushHead makes item the most recently used. The item's two links are
+// adjacent words and go out as one store, so relinking an item that was on
+// the list (an update read both) costs one clobber entry, not two.
 func lruPushHead(m txn.Mem, hdr, item txn.Addr) {
 	head := m.Load64(hdr + hdrLRUHead)
-	m.Store64(item+itLPrev, 0)
-	m.Store64(item+itLNext, head)
+	var links [16]byte // itLNext = head, itLPrev = 0
+	binary.LittleEndian.PutUint64(links[:], head)
+	m.Store(item+itLNext, links[:])
 	if head != 0 {
 		m.Store64(head+itLPrev, item)
 	} else {
@@ -479,6 +483,10 @@ func (c *Cache) register() {
 		return nil
 	})
 
+	// A set that updates writes four clobber entries, one fence each: hdrCas
+	// (here), it+itKV (storeUpdate), the item's link pair and hdrLRUHead
+	// (lruPushHead). hdrCas and hdrLRUHead are three words apart in the
+	// header; making them one entry would change the on-media layout.
 	c.eng.Register(c.fn("set"), func(m txn.Mem, args *txn.Args) error {
 		key, val := args.Bytes(0), args.Bytes(1)
 		flags := args.Uint64(2)

@@ -2,6 +2,7 @@ package pds
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -91,49 +92,108 @@ func bptLoadKey(m txn.Mem, n txn.Addr, i int) []byte {
 	return key
 }
 
-func bptStoreKey(m txn.Mem, n txn.Addr, i int, key []byte) {
-	a := bptKeyAddr(n, i)
-	m.Store64(a, uint64(len(key)))
-	if len(key) > 0 {
-		m.Store(a+8, key)
+// bptSlotKey returns the key held in a key-slot image, capped at its length.
+func bptSlotKey(slot []byte) []byte {
+	end := 8 + binary.LittleEndian.Uint64(slot)
+	return slot[8:end:end]
+}
+
+// bptCtx is one operation's view of the tree: the Mem it runs on and the
+// volatile scratch in which key runs are compared and new node images are
+// built. Contexts are pooled, so neither a search nor a shift allocates.
+type bptCtx struct {
+	m   txn.Mem
+	buf [bptOrder * bptKeySlot]byte
+}
+
+var bptCtxPool = sync.Pool{New: func() any { return new(bptCtx) }}
+
+func bptOpen(m txn.Mem) *bptCtx {
+	c := bptCtxPool.Get().(*bptCtx)
+	c.m = m
+	return c
+}
+
+func (c *bptCtx) close() {
+	c.m = nil
+	bptCtxPool.Put(c)
+}
+
+// search returns the first index i with keys[i] >= key, whether it is an
+// exact match, and the node's key count. The live key run is read with one
+// Load and compared in the scratch.
+func (c *bptCtx) search(n txn.Addr, key []byte) (i int, exact bool, nk int) {
+	nk = int(c.m.Load64(n + bptNKeys))
+	run := c.buf[:nk*bptKeySlot]
+	if nk > 0 {
+		c.m.Load(bptKeyAddr(n, 0), run)
 	}
-}
-
-// bptCopyKey copies a key slot between nodes/slots.
-func bptCopyKey(m txn.Mem, dst txn.Addr, di int, src txn.Addr, si int) {
-	bptStoreKey(m, dst, di, bptLoadKey(m, src, si))
-}
-
-// bptSearch returns the first index i with keys[i] >= key, and whether it is
-// an exact match.
-func bptSearch(m txn.Mem, n txn.Addr, key []byte) (int, bool) {
-	nk := int(m.Load64(n + bptNKeys))
 	lo, hi := 0, nk
 	for lo < hi {
 		mid := (lo + hi) / 2
-		c := bytes.Compare(bptLoadKey(m, n, mid), key)
-		if c < 0 {
+		if bytes.Compare(bptSlotKey(run[mid*bptKeySlot:]), key) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	exact := lo < nk && bytes.Equal(bptLoadKey(m, n, lo), key)
-	return lo, exact
+	exact = lo < nk && bytes.Equal(bptSlotKey(run[lo*bptKeySlot:]), key)
+	return lo, exact, nk
+}
+
+// insertAt puts elem at index i of the array of len(elem)-byte elements at
+// base, moving elements [i, n) up one place. The new image of [i, n] is built
+// in the scratch (elem, then the old run read with one Load) and written with
+// one Store: a memmove in every engine's own discipline, logged as one range
+// whatever the shift distance.
+func (c *bptCtx) insertAt(base txn.Addr, i, n int, elem []byte) {
+	at := base + uint64(i*len(elem))
+	img := c.buf[:(n-i+1)*len(elem)]
+	copy(img, elem)
+	if i < n {
+		c.m.Load(at, img[len(elem):])
+	}
+	c.m.Store(at, img)
+}
+
+// insertKey makes key the i-th of node n's nk keys.
+func (c *bptCtx) insertKey(n txn.Addr, i, nk int, key []byte) {
+	var slot [bptKeySlot]byte // length word, bytes, zero padding
+	binary.LittleEndian.PutUint64(slot[:], uint64(len(key)))
+	copy(slot[8:], key)
+	c.insertAt(n+bptKeys, i, nk, slot[:])
+}
+
+// insertPtr makes p the i-th of node n's np pointers.
+func (c *bptCtx) insertPtr(n txn.Addr, i, np int, p txn.Addr) {
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], p)
+	c.insertAt(n+bptPtrs, i, np, w[:])
+}
+
+// copyRun copies nbytes from src to dst through the scratch, one Load and one
+// Store, and returns the image.
+func (c *bptCtx) copyRun(dst, src txn.Addr, nbytes int) []byte {
+	img := c.buf[:nbytes]
+	if nbytes > 0 {
+		c.m.Load(src, img)
+		c.m.Store(dst, img)
+	}
+	return img
 }
 
 // findLeaf descends to the leaf that owns key.
-func (t *BPTree) findLeaf(m txn.Mem, key []byte) txn.Addr {
-	n := m.Load64(t.rootLink(m))
+func (c *bptCtx) findLeaf(t *BPTree, key []byte) txn.Addr {
+	n := c.m.Load64(t.rootLink(c.m))
 	if n == 0 {
 		return 0
 	}
-	for m.Load64(n+bptIsLeaf) == 0 {
-		i, exact := bptSearch(m, n, key)
+	for c.m.Load64(n+bptIsLeaf) == 0 {
+		i, exact, _ := c.search(n, key)
 		if exact {
 			i++ // equal keys descend right (children[i] < keys[i] <= children[i+1])
 		}
-		n = m.Load64(bptPtrAddr(n, i))
+		n = c.m.Load64(bptPtrAddr(n, i))
 	}
 	return n
 }
@@ -157,6 +217,8 @@ func (t *BPTree) register() {
 		if len(key) > bptKeyCap {
 			return fmt.Errorf("%w: %d bytes (cap %d)", ErrKeyTooLarge, len(key), bptKeyCap)
 		}
+		c := bptOpen(m)
+		defer c.close()
 		rl := t.rootLink(m)
 		root := m.Load64(rl)
 		if root == 0 {
@@ -168,13 +230,13 @@ func (t *BPTree) register() {
 			if err != nil {
 				return err
 			}
-			bptStoreKey(m, leaf, 0, key)
-			m.Store64(bptPtrAddr(leaf, 0), kv)
+			c.insertKey(leaf, 0, 0, key)
+			c.insertPtr(leaf, 0, 0, kv)
 			m.Store64(leaf+bptNKeys, 1)
 			m.Store64(rl, leaf)
 			return nil
 		}
-		sepKey, newNode, err := t.insertRec(m, root, key, val)
+		sepKey, newNode, err := t.insertRec(c, root, key, val)
 		if err != nil {
 			return err
 		}
@@ -183,7 +245,7 @@ func (t *BPTree) register() {
 			if err != nil {
 				return err
 			}
-			bptStoreKey(m, nr, 0, sepKey)
+			c.insertKey(nr, 0, 0, sepKey)
 			m.Store64(bptPtrAddr(nr, 0), root)
 			m.Store64(bptPtrAddr(nr, 1), newNode)
 			m.Store64(nr+bptNKeys, 1)
@@ -194,21 +256,22 @@ func (t *BPTree) register() {
 
 	t.eng.Register(t.fn("del"), func(m txn.Mem, args *txn.Args) error {
 		key := args.Bytes(0)
-		leaf := t.findLeaf(m, key)
+		c := bptOpen(m)
+		defer c.close()
+		leaf := c.findLeaf(t, key)
 		if leaf == 0 {
 			return nil
 		}
-		i, exact := bptSearch(m, leaf, key)
+		i, exact, nk := c.search(leaf, key)
 		if !exact {
 			return nil
 		}
 		kv := m.Load64(bptPtrAddr(leaf, i))
-		nk := int(m.Load64(leaf + bptNKeys))
-		for j := i; j < nk-1; j++ {
-			bptCopyKey(m, leaf, j, leaf, j+1)
-			m.Store64(bptPtrAddr(leaf, j), m.Load64(bptPtrAddr(leaf, j+1)))
-		}
-		m.Store64(leaf+bptNKeys, uint64(nk-1)) // lazy deletion: no merging
+		// clobber: each run moves down one place over its own old image, one
+		// entry per array however far the shift reaches.
+		c.copyRun(bptKeyAddr(leaf, i), bptKeyAddr(leaf, i+1), (nk-1-i)*bptKeySlot)
+		c.copyRun(bptPtrAddr(leaf, i), bptPtrAddr(leaf, i+1), (nk-1-i)*8)
+		m.Store64(leaf+bptNKeys, uint64(nk-1)) // clobber; lazy deletion: no merging
 		return m.Free(kv)
 	})
 }
@@ -230,25 +293,26 @@ func (t *BPTree) newNode(m txn.Mem, leaf bool) (txn.Addr, error) {
 
 // insertRec inserts into the subtree rooted at n. If n split, it returns the
 // separator key and the new right sibling for the parent to absorb.
-func (t *BPTree) insertRec(m txn.Mem, n txn.Addr, key, val []byte) ([]byte, txn.Addr, error) {
-	if m.Load64(n+bptIsLeaf) == 1 {
-		return t.insertLeaf(m, n, key, val)
+func (t *BPTree) insertRec(c *bptCtx, n txn.Addr, key, val []byte) ([]byte, txn.Addr, error) {
+	if c.m.Load64(n+bptIsLeaf) == 1 {
+		return t.insertLeaf(c, n, key, val)
 	}
-	i, exact := bptSearch(m, n, key)
+	i, exact, _ := c.search(n, key)
 	if exact {
 		i++
 	}
-	child := m.Load64(bptPtrAddr(n, i))
-	sep, newChild, err := t.insertRec(m, child, key, val)
+	child := c.m.Load64(bptPtrAddr(n, i))
+	sep, newChild, err := t.insertRec(c, child, key, val)
 	if err != nil || newChild == 0 {
 		return nil, 0, err
 	}
-	return t.insertInternal(m, n, i, sep, newChild)
+	return t.insertInternal(c, n, i, sep, newChild)
 }
 
 // insertLeaf puts (key, val) into leaf n, splitting if full.
-func (t *BPTree) insertLeaf(m txn.Mem, n txn.Addr, key, val []byte) ([]byte, txn.Addr, error) {
-	i, exact := bptSearch(m, n, key)
+func (t *BPTree) insertLeaf(c *bptCtx, n txn.Addr, key, val []byte) ([]byte, txn.Addr, error) {
+	m := c.m
+	i, exact, nk := c.search(n, key)
 	if exact {
 		old := m.Load64(bptPtrAddr(n, i))
 		kv, err := kvWrite(m, key, val)
@@ -258,18 +322,15 @@ func (t *BPTree) insertLeaf(m txn.Mem, n txn.Addr, key, val []byte) ([]byte, txn
 		m.Store64(bptPtrAddr(n, i), kv) // clobber: value pointer update
 		return nil, 0, m.Free(old)
 	}
-	nk := int(m.Load64(n + bptNKeys))
 	if nk < bptOrder {
 		kv, err := kvWrite(m, key, val)
 		if err != nil {
 			return nil, 0, err
 		}
-		for j := nk; j > i; j-- {
-			bptCopyKey(m, n, j, n, j-1)
-			m.Store64(bptPtrAddr(n, j), m.Load64(bptPtrAddr(n, j-1)))
-		}
-		bptStoreKey(m, n, i, key)
-		m.Store64(bptPtrAddr(n, i), kv)
+		// clobber: the old runs [i, nk) are inputs the new images overwrite,
+		// one entry each; slot nk was never read and an append logs neither.
+		c.insertKey(n, i, nk, key)
+		c.insertPtr(n, i, nk, kv)
 		m.Store64(n+bptNKeys, uint64(nk+1)) // clobber: occupancy counter
 		return nil, 0, nil
 	}
@@ -281,64 +342,58 @@ func (t *BPTree) insertLeaf(m txn.Mem, n txn.Addr, key, val []byte) ([]byte, txn
 		return nil, 0, err
 	}
 	mid := bptOrder / 2
-	for j := mid; j < nk; j++ {
-		bptCopyKey(m, right, j-mid, n, j)
-		m.Store64(bptPtrAddr(right, j-mid), m.Load64(bptPtrAddr(n, j)))
-	}
+	// right's first key is the separator; the insert below cannot displace
+	// it (key is either smaller and goes left, or larger and lands after it).
+	sep := bytes.Clone(bptSlotKey(c.copyRun(bptKeyAddr(right, 0), bptKeyAddr(n, mid), (nk-mid)*bptKeySlot)))
+	c.copyRun(bptPtrAddr(right, 0), bptPtrAddr(n, mid), (nk-mid)*8)
 	m.Store64(right+bptNKeys, uint64(nk-mid))
-	m.Store64(n+bptNKeys, uint64(mid))
+	m.Store64(n+bptNKeys, uint64(mid)) // clobber
 	m.Store64(right+bptNext, m.Load64(n+bptNext))
-	m.Store64(n+bptNext, right)
+	m.Store64(n+bptNext, right) // clobber
 
 	target := n
-	if bytes.Compare(key, bptLoadKey(m, right, 0)) >= 0 {
+	if bytes.Compare(key, sep) >= 0 {
 		target = right
 	}
-	if _, _, err := t.insertLeaf(m, target, key, val); err != nil {
+	if _, _, err := t.insertLeaf(c, target, key, val); err != nil {
 		return nil, 0, err
 	}
-	return bptLoadKey(m, right, 0), right, nil
+	return sep, right, nil
 }
 
 // insertInternal absorbs a child split (sep, newChild) at position i of
 // internal node n, splitting n itself if full.
-func (t *BPTree) insertInternal(m txn.Mem, n txn.Addr, i int, sep []byte, newChild txn.Addr) ([]byte, txn.Addr, error) {
+func (t *BPTree) insertInternal(c *bptCtx, n txn.Addr, i int, sep []byte, newChild txn.Addr) ([]byte, txn.Addr, error) {
+	m := c.m
 	nk := int(m.Load64(n + bptNKeys))
 	if nk < bptOrder {
-		for j := nk; j > i; j-- {
-			bptCopyKey(m, n, j, n, j-1)
-			m.Store64(bptPtrAddr(n, j+1), m.Load64(bptPtrAddr(n, j)))
-		}
-		bptStoreKey(m, n, i, sep)
-		m.Store64(bptPtrAddr(n, i+1), newChild)
-		m.Store64(n+bptNKeys, uint64(nk+1))
+		c.insertKey(n, i, nk, sep)          // clobber: key run [i, nk)
+		c.insertPtr(n, i+1, nk+1, newChild) // clobber: pointer run [i+1, nk]
+		m.Store64(n+bptNKeys, uint64(nk+1)) // clobber
 		return nil, 0, nil
 	}
 
-	// Split internal node: middle key moves up.
+	// Split internal node: middle key moves up, keys (mid, nk) and pointers
+	// (mid, nk] move to the new right sibling.
 	right, err := t.newNode(m, false)
 	if err != nil {
 		return nil, 0, err
 	}
 	mid := bptOrder / 2
 	promoted := bptLoadKey(m, n, mid)
-	rk := 0
-	for j := mid + 1; j < nk; j++ {
-		bptCopyKey(m, right, rk, n, j)
-		m.Store64(bptPtrAddr(right, rk), m.Load64(bptPtrAddr(n, j)))
-		rk++
-	}
-	m.Store64(bptPtrAddr(right, rk), m.Load64(bptPtrAddr(n, nk)))
+	rk := nk - mid - 1
+	c.copyRun(bptKeyAddr(right, 0), bptKeyAddr(n, mid+1), rk*bptKeySlot)
+	c.copyRun(bptPtrAddr(right, 0), bptPtrAddr(n, mid+1), (rk+1)*8)
 	m.Store64(right+bptNKeys, uint64(rk))
-	m.Store64(n+bptNKeys, uint64(mid))
+	m.Store64(n+bptNKeys, uint64(mid)) // clobber
 
 	// Insert (sep, newChild) into the appropriate half.
 	if i <= mid {
-		if _, _, err := t.insertInternal(m, n, i, sep, newChild); err != nil {
+		if _, _, err := t.insertInternal(c, n, i, sep, newChild); err != nil {
 			return nil, 0, err
 		}
 	} else {
-		if _, _, err := t.insertInternal(m, right, i-mid-1, sep, newChild); err != nil {
+		if _, _, err := t.insertInternal(c, right, i-mid-1, sep, newChild); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -367,7 +422,9 @@ func (t *BPTree) Insert(slot int, key, value []byte) error {
 		defer t.treeMu.RUnlock()
 		var leaf txn.Addr
 		if err := t.eng.RunRO(slot, func(m txn.Mem) error {
-			leaf = t.findLeaf(m, key)
+			c := bptOpen(m)
+			defer c.close()
+			leaf = c.findLeaf(t, key)
 			return nil
 		}); err != nil {
 			return true, err
@@ -383,8 +440,10 @@ func (t *BPTree) Insert(slot int, key, value []byte) error {
 		// exclusive tree lock, excluded by our shared hold.)
 		var needSplit bool
 		if err := t.eng.RunRO(slot, func(m txn.Mem) error {
-			_, exact := bptSearch(m, leaf, key)
-			needSplit = !exact && m.Load64(leaf+bptNKeys) >= bptOrder
+			c := bptOpen(m)
+			defer c.close()
+			_, exact, nk := c.search(leaf, key)
+			needSplit = !exact && nk >= bptOrder
 			return nil
 		}); err != nil {
 			return true, err
@@ -411,14 +470,16 @@ func (t *BPTree) Get(slot int, key []byte) ([]byte, bool, error) {
 	var out []byte
 	found := false
 	err := t.eng.RunRO(slot, func(m txn.Mem) error {
-		leaf := t.findLeaf(m, key)
+		c := bptOpen(m)
+		defer c.close()
+		leaf := c.findLeaf(t, key)
 		if leaf == 0 {
 			return nil
 		}
 		st := t.stripe(leaf)
 		st.RLock()
 		defer st.RUnlock()
-		i, exact := bptSearch(m, leaf, key)
+		i, exact, _ := c.search(leaf, key)
 		if exact {
 			out = kvValue(m, m.Load64(bptPtrAddr(leaf, i)))
 			found = true
@@ -435,7 +496,9 @@ func (t *BPTree) Delete(slot int, key []byte) (bool, error) {
 	var leaf txn.Addr
 	exists := false
 	if err := t.eng.RunRO(slot, func(m txn.Mem) error {
-		leaf = t.findLeaf(m, key)
+		c := bptOpen(m)
+		defer c.close()
+		leaf = c.findLeaf(t, key)
 		if leaf != 0 {
 			// The stripe read-lock keeps the probe coherent against a
 			// concurrent same-leaf insert (which writes under the stripe's
@@ -443,7 +506,7 @@ func (t *BPTree) Delete(slot int, key []byte) (bool, error) {
 			st := t.stripe(leaf)
 			st.RLock()
 			defer st.RUnlock()
-			_, exists = bptSearch(m, leaf, key)
+			_, exists, _ = c.search(leaf, key)
 		}
 		return nil
 	}); err != nil {

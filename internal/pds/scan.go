@@ -2,6 +2,7 @@ package pds
 
 import (
 	"bytes"
+	"encoding/binary"
 
 	"clobbernvm/internal/txn"
 )
@@ -28,11 +29,16 @@ func inRange(key, from, to []byte) (below, above bool) {
 
 var _ Ranger = (*BPTree)(nil)
 
-// Scan implements Ranger via the leaf chain.
+// Scan implements Ranger via the leaf chain. Same-leaf inserts and deletes
+// run beside it under the shared tree lock, so each leaf is snapshotted under
+// its stripe read lock (as Get reads it) and fn runs after the stripe is
+// released.
 func (t *BPTree) Scan(slot int, from, to []byte, fn func(key, val []byte) bool) error {
 	t.treeMu.RLock()
 	defer t.treeMu.RUnlock()
 	return t.eng.RunRO(slot, func(m txn.Mem) error {
+		c := bptOpen(m)
+		defer c.close()
 		var leaf txn.Addr
 		if from == nil {
 			// Leftmost leaf.
@@ -45,28 +51,49 @@ func (t *BPTree) Scan(slot int, from, to []byte, fn func(key, val []byte) bool) 
 			}
 			leaf = n
 		} else {
-			leaf = t.findLeaf(m, from)
+			leaf = c.findLeaf(t, from)
 		}
 		for leaf != 0 {
-			nk := int(m.Load64(leaf + bptNKeys))
-			for i := 0; i < nk; i++ {
-				key := bptLoadKey(m, leaf, i)
-				below, aboveHi := inRange(key, from, to)
-				if below {
-					continue
-				}
-				if aboveHi {
-					return nil
-				}
-				val := kvValue(m, m.Load64(bptPtrAddr(leaf, i)))
-				if !fn(key, val) {
+			var keys, vals [][]byte
+			keys, vals, leaf = t.snapshotLeaf(c, leaf, from, to)
+			for i := range keys {
+				if !fn(keys[i], vals[i]) {
 					return nil
 				}
 			}
-			leaf = m.Load64(leaf + bptNext)
 		}
 		return nil
 	})
+}
+
+// snapshotLeaf reads, under the leaf's stripe read lock, the leaf's pairs in
+// [from, to) and its successor, or 0 if the range ends in this leaf. The key
+// run is one Load into fresh memory (fn may keep what it is given), the
+// pointer run one Load into the scratch.
+func (t *BPTree) snapshotLeaf(c *bptCtx, leaf txn.Addr, from, to []byte) (keys, vals [][]byte, next txn.Addr) {
+	st := t.stripe(leaf)
+	st.RLock()
+	defer st.RUnlock()
+	nk := int(c.m.Load64(leaf + bptNKeys))
+	run, ptrs := make([]byte, nk*bptKeySlot), c.buf[:nk*8]
+	keys, vals = make([][]byte, 0, nk), make([][]byte, 0, nk)
+	if nk > 0 {
+		c.m.Load(bptKeyAddr(leaf, 0), run)
+		c.m.Load(bptPtrAddr(leaf, 0), ptrs)
+	}
+	for i := 0; i < nk; i++ {
+		key := bptSlotKey(run[i*bptKeySlot:])
+		below, above := inRange(key, from, to)
+		if below {
+			continue
+		}
+		if above {
+			return keys, vals, 0
+		}
+		keys = append(keys, key)
+		vals = append(vals, kvValue(c.m, binary.LittleEndian.Uint64(ptrs[i*8:])))
+	}
+	return keys, vals, c.m.Load64(leaf + bptNext)
 }
 
 // --- red-black tree: bounded in-order walk ------------------------------------
