@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/clobber"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pds"
@@ -149,10 +150,8 @@ func createOn(pool *nvm.Pool, opts Options) (*DB, error) {
 		return nil, err
 	}
 	engine, err := clobber.Create(pool, alloc, clobber.Options{
-		Slots:        opts.Slots,
-		DataLogCap:   opts.DataLogCap,
+		Options:      chassis.Options{Slots: opts.Slots, DataLogCap: opts.DataLogCap, LineLog: opts.LineLog},
 		Conservative: opts.Conservative,
-		LineLog:      opts.LineLog,
 	})
 	if err != nil {
 		return nil, err

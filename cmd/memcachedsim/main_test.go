@@ -87,7 +87,9 @@ func TestShutdownSignalsDeliverSIGTERM(t *testing.T) {
 
 // TestShutdownDrainsInFlight races shutdown against a client that has just
 // pipelined a burst of sets: the drain window must let every command finish
-// and its reply reach the wire before the connection dies.
+// and its reply reach the wire before the connection dies. The drain covers
+// sessions, not connections still waiting to be accepted (Server.Close
+// refuses those), so the client first completes a version round trip.
 func TestShutdownDrainsInFlight(t *testing.T) {
 	sc := harness.SmallScale
 	sc.PoolBytes = 1 << 26
@@ -114,6 +116,13 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	r := bufio.NewReader(conn)
+	if _, err := conn.Write([]byte("version\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(line, "VERSION ") {
+		t.Fatalf("version round trip: %q, %v", line, err)
+	}
 
 	const burst = 50
 	var req strings.Builder
@@ -128,7 +137,6 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	done := make(chan string, 1)
 	go func() { done <- shutdown(srv, cache, nil, nil) }()
 
-	r := bufio.NewReader(conn)
 	for i := 0; i < burst; i++ {
 		line, err := r.ReadString('\n')
 		if err != nil {

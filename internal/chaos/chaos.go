@@ -383,6 +383,7 @@ func Run(spec Spec, logf func(format string, a ...any)) (*Result, error) {
 	}()
 
 	res := &Result{Spec: spec}
+	probeFront(spec, clients, res)
 	for round := 0; round < spec.Rounds; round++ {
 		gen0 := sup.Generation()
 		point := 1 + rng.Int63n(pointSpan(spec.Kind))
@@ -443,6 +444,17 @@ func Run(spec Spec, logf func(format string, a ...any)) (*Result, error) {
 	res.LeakedGoroutines = settleGoroutines(baseline, 5*time.Second)
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// probeFront, when the front cache's invalidation is off, runs one
+// overwrite-then-reread of a hot key before the first crash is armed: the
+// stale read shows at once, before a crash round's recovery — which starts
+// serving from an empty front — can erase the stale entry.
+func probeFront(spec Spec, clients []*client, res *Result) {
+	if spec.FrontStale {
+		clients[0].overwriteReread()
+		res.Violations = append(res.Violations, clients[0].takeAnomalies(0)...)
+	}
 }
 
 // getter is the read path the audit uses: a single supervisor or the

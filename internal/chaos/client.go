@@ -111,16 +111,38 @@ func newClient(id int, addr string, keys int, rng *rand.Rand) *client {
 // model and counters are only read after the loop's goroutine has joined.
 func (c *client) loop(stop *atomic.Bool) {
 	for !stop.Load() {
-		if c.conn == nil {
-			conn, err := net.DialTimeout("tcp", c.addr, 2*time.Second)
-			if err != nil {
-				time.Sleep(5 * time.Millisecond)
-				continue
-			}
-			c.conn = conn
-			c.r = bufio.NewReader(conn)
+		if !c.dial() {
+			time.Sleep(5 * time.Millisecond)
+			continue
 		}
 		c.step()
+	}
+}
+
+// dial connects the client if it is not connected, reporting success.
+func (c *client) dial() bool {
+	if c.conn != nil {
+		return true
+	}
+	conn, err := net.DialTimeout("tcp", c.addr, 2*time.Second)
+	if err != nil {
+		return false
+	}
+	c.conn, c.r = conn, bufio.NewReader(conn)
+	return true
+}
+
+// overwriteReread sets the client's first key, reads it back (which fills
+// the front cache), overwrites it and reads it again: one pass through the
+// front cache's coherence protocol, which a front that misses the write's
+// invalidation fails on the spot.
+func (c *client) overwriteReread() {
+	k := fmt.Sprintf("c%02d-k%03d", c.id, 0)
+	for _, op := range []func(string){c.doSet, c.doGet, c.doSet, c.doGet} {
+		if !c.dial() {
+			return
+		}
+		op(k)
 	}
 }
 

@@ -123,6 +123,7 @@ func runSharded(spec Spec, logf func(format string, a ...any)) (*Result, error) 
 	}()
 
 	res := &Result{Spec: spec}
+	probeFront(spec, clients, res)
 	restartsBefore := make([]int64, spec.Shards)
 	for round := 0; round < spec.Rounds; round++ {
 		victim := rng.Intn(spec.Shards)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pmem"
 	"clobbernvm/internal/txn"
@@ -37,7 +38,7 @@ func tornState(t *testing.T) (*nvm.Pool, uint64, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Create(p, a, Options{Slots: 2, DataLogCap: 1 << 16, ArgsCap: 1024, FreeLogCap: 64})
+	e, err := Create(p, a, Options{Options: chassis.Options{Slots: 2, DataLogCap: 1 << 16, FreeLogCap: 64}, ArgsCap: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestRecoveryTreatsTornBeginAsIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Create(p, a, Options{Slots: 2, DataLogCap: 1 << 16, ArgsCap: 1024, FreeLogCap: 64})
+	e, err := Create(p, a, Options{Options: chassis.Options{Slots: 2, DataLogCap: 1 << 16, FreeLogCap: 64}, ArgsCap: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

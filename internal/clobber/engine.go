@@ -27,47 +27,35 @@
 //     are logged again on later stores, modelling alias-analysis-only
 //     identification without dependency propagation.
 //
-// Log layout per worker slot (fixed table, one slot per thread, matching the
-// paper's per-thread v_log):
+// What each worker slot adds to the chassis's (package chassis), matching
+// the paper's per-thread v_log:
 //
-//	status word   seq<<2 | phase   (committed, which doubles as idle / ongoing)
-//	v_log         txfunc name + encoded args + checksum, in a pre-allocated
-//	              buffer — one entry, hence exactly two fences per
-//	              transaction (begin and commit), the property §5.3 credits
-//	              for v_log's low cost
-//	clobber_log   a plog.DataLog of (addr, old bytes) records, one fence per
-//	              entry (built over the same log subsystem as the PMDK-style
-//	              undo engine, as in the paper)
+//	v_log         txfunc name + encoded args + checksum, in the slot header
+//	              behind the status word — one entry, hence exactly two
+//	              fences per transaction (begin and commit), the property
+//	              §5.3 credits for v_log's low cost
+//	clobber_log   the slot's data log of (addr, old bytes) records, one
+//	              fence per entry
 //
-// Allocation has no log here. pmalloc only reserves from the allocator's
-// volatile mirror of the slot's arena and free only queues; commit publishes
-// one allocator redo record ahead of the commit fence, conditioned on this
-// slot's status word, and applies it after the committed status is durable
-// (see package pmem). An interrupted transaction therefore never touched the
-// persistent heap: its blocks vanish with the crash, the memory it freed is
-// still there for the re-execution to read, and recovery has nothing to
-// reclaim.
+// Clobber transactions commit at begin: they cannot roll back, so a txfunc
+// may fail only before its first store. An interrupted transaction never
+// touched the persistent heap (allocation is reserve / publish / apply, see
+// package pmem), so the re-execution finds the memory it freed still there
+// and recovery has nothing to reclaim.
 package clobber
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/nvm"
-	"clobbernvm/internal/obs"
-	"clobbernvm/internal/plog"
 	"clobbernvm/internal/pmem"
 	"clobbernvm/internal/txn"
 )
 
 const (
-	// phaseIdle is the committed state of the slot's last transaction; it is
-	// the phase pmem's commit condition reads as "committed".
-	phaseIdle    = 0
-	phaseOngoing = 1
-
 	anchorMagic = 0x434c4f4252 // "CLOBR"
 
 	maxNameLen = 64
@@ -86,15 +74,9 @@ const rootSlot = 1
 
 // Options configures engine creation.
 type Options struct {
-	// Slots is the number of worker slots (default txn.MaxSlots).
-	Slots int
+	chassis.Options
 	// ArgsCap is the per-slot v_log buffer capacity (default 4096).
 	ArgsCap uint64
-	// DataLogCap is the per-slot clobber_log capacity (default 1 MiB).
-	DataLogCap uint64
-	// FreeLogCap bounds the frees of one transaction (default 4096): it
-	// sizes the slot's allocator redo record.
-	FreeLogCap int
 	// Conservative disables the dependency-analysis refinements
 	// (Fig 13 baseline).
 	Conservative bool
@@ -104,30 +86,10 @@ type Options struct {
 	// DisableClobberLog skips clobber_log persistence (Clobber-NVM-vlog
 	// variant of §5.3; NOT failure-atomic).
 	DisableClobberLog bool
-	// LineLog formats the clobber_log with the write-combined line writer:
-	// entries stream through a 64-byte staging buffer, one Store+FlushOpt
-	// per touched line, validated by per-line validity words. Attach
-	// detects the mode from the log magic, so only Create needs the flag.
-	LineLog bool
-}
-
-func (o *Options) fill() {
-	if o.Slots <= 0 || o.Slots > txn.MaxSlots {
-		o.Slots = txn.MaxSlots
-	}
-	if o.ArgsCap == 0 {
-		o.ArgsCap = 4096
-	}
-	if o.DataLogCap == 0 {
-		o.DataLogCap = 1 << 20
-	}
-	if o.FreeLogCap == 0 {
-		o.FreeLogCap = 4096
-	}
 }
 
 // ErrTxTooLarge reports exhaustion of a per-transaction log area.
-var ErrTxTooLarge = errors.New("clobber: transaction exceeds log capacity")
+var ErrTxTooLarge = chassis.ErrTxTooLarge
 
 // ErrDirtyAbort reports a txfunc error after it had already stored to
 // persistent memory: clobber transactions commit at begin and cannot roll
@@ -136,255 +98,98 @@ var ErrDirtyAbort = errors.New("clobber: txfunc failed after writing (transactio
 
 // Engine is the Clobber-NVM failure-atomicity engine.
 type Engine struct {
-	pool  *nvm.Pool
-	alloc *pmem.Allocator
-	reg   txn.Registry
-	stats txn.Stats
-	opts  Options
-	slots []*slot
-	probe *obs.Probe
+	*chassis.Chassis
+	opts Options
 }
 
-var (
-	_ txn.Engine           = (*Engine)(nil)
-	_ txn.RecoveryReporter = (*Engine)(nil)
-)
-
-type slot struct {
-	mu   sync.Mutex
-	id   int
-	hdr  uint64 // slot block base address
-	dlog *plog.DataLog
-	tx   *pmem.Tx // the slot's arena: reservations of the running transaction
-	seq  uint64   // volatile cache of the last used sequence number
-
-	// ftab is the per-slot access-map table, reused across transactions so
-	// the tracking structures are allocated once per worker, not per txn.
-	ftab *flagTable
-	// vbuf stages the v_log entry so begin issues one Store for the whole
-	// header+args block instead of one per field.
-	vbuf []byte
-	// old stages a clobber entry's pre-store bytes.
-	old []byte
-
-	// quarantined, when non-nil, records why attach or recovery set this
-	// slot aside (log corruption). The slot's persistent state is left
-	// untouched for forensics; Run returns txn.ErrSlotQuarantined.
-	quarantined error
+func (e *Engine) spec() chassis.Spec {
+	name := "clobber"
+	if e.opts.Conservative {
+		name = "clobber-conservative"
+	}
+	return chassis.Spec{
+		Name: name, Pkg: "clobber", Root: rootSlot, Magic: anchorMagic, Words: 1, Header: offArgs,
+		LogAt:  func(w []uint64) uint64 { return align8(offArgs + w[0]) },
+		NewMem: e.newMem, Recover: e.recoverSlot,
+		// Slots recover concurrently: the strong strict 2PL contract makes
+		// ongoing transactions' lock sets — and hence their footprints —
+		// disjoint ("Clobber-NVM recovers each thread independently").
+		Parallel: true,
+		NoStatus: e.opts.DisableVLog,
+	}
 }
 
-// Create formats a fresh engine on the pool. The allocator must already be
-// created. The engine anchor is stored in pool root slot 1.
+// Create formats a fresh engine on the pool, anchored in root slot 1. The
+// allocator must already be created.
 func Create(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
-	opts.fill()
-	e := &Engine{pool: p, alloc: a, opts: opts}
-	e.probe = obs.NewProbe(e.Name())
-
-	anchorSize := uint64(24 + opts.Slots*8)
-	anchor, err := a.Alloc(0, anchorSize)
+	if opts.ArgsCap == 0 {
+		opts.ArgsCap = 4096
+	}
+	e := &Engine{opts: opts}
+	c, err := chassis.Create(p, a, opts.Options, e.spec(), func() ([]uint64, error) {
+		return []uint64{opts.ArgsCap}, nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("clobber: create anchor: %w", err)
+		return nil, err
 	}
-	p.Store64(anchor, anchorMagic)
-	p.Store64(anchor+8, uint64(opts.Slots))
-	p.Store64(anchor+16, opts.ArgsCap)
-
-	hdrSize := uint64(offArgs) + opts.ArgsCap
-	dlogOff := align8(hdrSize)
-	slotSize := dlogOff + plog.DataLogSize(opts.DataLogCap)
-
-	for i := 0; i < opts.Slots; i++ {
-		base, err := a.Alloc(i, slotSize)
-		if err != nil {
-			return nil, fmt.Errorf("clobber: create slot %d: %w", i, err)
-		}
-		// Zero the header so status reads as idle/seq 0.
-		p.Store(base, make([]byte, offArgs))
-		p.Persist(base, offArgs)
-		s := &slot{
-			id:   i,
-			hdr:  base,
-			dlog: plog.FormatDataLogMode(p, i, base+dlogOff, opts.DataLogCap, opts.LineLog),
-			tx:   a.Tx(i),
-		}
-		if err := s.tx.Bind(base+offStatus, opts.FreeLogCap); err != nil {
-			return nil, fmt.Errorf("clobber: create slot %d: %w", i, err)
-		}
-		e.slots = append(e.slots, s)
-		p.Store64(anchor+24+uint64(i)*8, base)
-	}
-	p.Persist(anchor, anchorSize)
-	p.Store64(p.RootSlot(rootSlot), anchor)
-	p.Persist(p.RootSlot(rootSlot), 8)
+	e.Chassis = c
 	return e, nil
 }
 
 // Attach opens an engine previously created on the pool (after restart or
-// crash). Register all txfuncs, then call Recover. Anchor corruption fails
-// the whole Attach (there is no engine to speak of without it); per-slot log
-// corruption quarantines just that slot, so one damaged thread cannot take
-// the whole pool down.
+// crash); only opts' behaviour flags matter. Register all txfuncs, then call
+// Recover.
 func Attach(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
-	opts.fill()
-	anchor := p.Load64(p.RootSlot(rootSlot))
-	if anchor == 0 || anchor+24 > p.Size() || p.Load64(anchor) != anchorMagic {
-		return nil, errors.New("clobber: pool has no clobber engine")
+	e := &Engine{opts: opts}
+	c, words, err := chassis.Attach(p, a, e.spec())
+	if err != nil {
+		return nil, err
 	}
-	n := int(p.Load64(anchor + 8))
-	if n <= 0 || n > txn.MaxSlots {
-		return nil, fmt.Errorf("clobber: corrupt anchor: %d slots", n)
-	}
-	if anchor+24+uint64(n)*8 > p.Size() {
-		return nil, errors.New("clobber: corrupt anchor: slot table outside pool")
-	}
-	opts.Slots = n
-	opts.ArgsCap = p.Load64(anchor + 16)
-	if opts.ArgsCap > p.Size() {
-		return nil, fmt.Errorf("clobber: corrupt anchor: args cap %#x", opts.ArgsCap)
-	}
-	e := &Engine{pool: p, alloc: a, opts: opts}
-	e.probe = obs.NewProbe(e.Name())
-
-	hdrSize := uint64(offArgs) + opts.ArgsCap
-	dlogOff := align8(hdrSize)
-	for i := 0; i < n; i++ {
-		base := p.Load64(anchor + 24 + uint64(i)*8)
-		s := &slot{id: i, hdr: base, tx: a.Tx(i)}
-		e.slots = append(e.slots, s)
-		dlog, err := plog.AttachDataLog(p, i, base+dlogOff)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("clobber: slot %d: %w", i, err))
-			continue
-		}
-		s.dlog = dlog
-		s.seq = p.Load64(base+offStatus) >> 2
-	}
+	e.Chassis, e.opts.ArgsCap = c, words[0]
 	return e, nil
-}
-
-// quarantine sets a slot aside with the given cause (first cause wins).
-func (e *Engine) quarantine(s *slot, err error) {
-	if s.quarantined == nil {
-		s.quarantined = err
-		e.stats.Quarantined.Add(1)
-	}
 }
 
 func align8(x uint64) uint64 { return (x + 7) &^ 7 }
 
-// Name implements txn.Engine.
-func (e *Engine) Name() string {
-	if e.opts.Conservative {
-		return "clobber-conservative"
-	}
-	return "clobber"
-}
-
-// Register implements txn.Engine.
-func (e *Engine) Register(name string, fn txn.TxFunc) { e.reg.Register(name, fn) }
-
-// Stats implements txn.Engine.
-func (e *Engine) Stats() *txn.Stats { return &e.stats }
-
-// Pool returns the engine's pool (for examples and harnesses).
-func (e *Engine) Pool() *nvm.Pool { return e.pool }
-
-// Allocator returns the engine's persistent allocator.
-func (e *Engine) Allocator() *pmem.Allocator { return e.alloc }
-
-// Run implements txn.Engine: it executes the registered txfunc
-// failure-atomically on the given worker slot.
-func (e *Engine) Run(slotID int, name string, args *txn.Args) error {
-	fn, err := e.reg.Lookup(name)
-	if err != nil {
-		return err
-	}
-	if err := txn.CheckSlot(slotID); err != nil || slotID >= len(e.slots) {
-		return fmt.Errorf("%w: %d (engine has %d)", txn.ErrBadSlot, slotID, len(e.slots))
-	}
-	s := e.slots[slotID]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.quarantined != nil {
-		return fmt.Errorf("%w: clobber slot %d: %v", txn.ErrSlotQuarantined, s.id, s.quarantined)
-	}
-	return e.runLocked(s, name, args, fn, false)
-}
-
-func (e *Engine) runLocked(s *slot, name string, args *txn.Args, fn txn.TxFunc, recovered bool) error {
-	if args == nil {
-		args = txn.NoArgs
-	}
-	sp := e.probe.Start(s.id, name)
-	seq := s.seq + 1
-	if err := e.begin(s, seq, name, args, &sp); err != nil {
-		return err
-	}
-	sp.BeginDone(seq)
-	s.seq = seq
-	s.dlog.Reset()
-
-	m := newMem(e, s, seq)
-	// Whatever way the txfunc leaves without committing — error, panic,
-	// simulated crash — its reservations are dropped and the arena released.
-	defer s.tx.Abort()
-	if err := fn(m, args); err != nil {
-		if m.stored {
-			panic(fmt.Errorf("%w: txfunc %q: %v", ErrDirtyAbort, name, err))
-		}
-		// No persistent effects yet: the transaction trivially aborts, and
-		// the blocks it reserved go back with it.
-		e.setStatus(s, seq, phaseIdle)
-		sp.Aborted()
-		return err
-	}
-	sp.ExecDone()
-	e.commit(s, seq, m, &sp)
-	e.stats.Committed.Add(1)
-	if recovered {
-		e.stats.Recovered.Add(1)
-	}
-	sp.Committed(recovered)
-	return nil
-}
-
-// begin writes the v_log entry: txfunc name, encoded arguments and a
+// Begin writes the v_log entry: txfunc name, encoded arguments and a
 // checksum binding them to this sequence, then the ongoing status word —
 // all flushed together and ordered by a single fence.
-func (e *Engine) begin(s *slot, seq uint64, name string, args *txn.Args, sp *obs.Span) error {
+func (m *mem) Begin(name string, args *txn.Args) error {
 	if len(name) > maxNameLen {
 		return fmt.Errorf("clobber: txfunc name %q exceeds %d bytes", name, maxNameLen)
 	}
+	m.name = name
 	encLen := args.EncodedSize()
-	if uint64(encLen) > e.opts.ArgsCap {
-		return fmt.Errorf("%w: %d arg bytes (cap %d)", ErrTxTooLarge, encLen, e.opts.ArgsCap)
+	if uint64(encLen) > m.e.opts.ArgsCap {
+		return fmt.Errorf("%w: %d arg bytes (cap %d)", ErrTxTooLarge, encLen, m.e.opts.ArgsCap)
 	}
-	p := e.pool
-	if !e.opts.DisableVLog {
-		// Stage the whole v_log entry — status word, name, args and
-		// checksum — and write it with a single Store; one flush set and
-		// one fence order it, preserving §5.3's two-fences-per-transaction
-		// property at a fraction of the old per-field store traffic. The
-		// arguments serialize straight into the staging buffer.
-		total := offArgs + encLen
-		if cap(s.vbuf) < total {
-			s.vbuf = make([]byte, offArgs+int(e.opts.ArgsCap))
-		}
-		buf := s.vbuf[:total]
-		clear(buf[:offArgs])
-		enc := args.AppendEncoded(buf[offArgs:offArgs])
-		putU64(buf[offStatus:], seq<<2|phaseOngoing)
-		putU64(buf[offNameLen:], uint64(len(name)))
-		copy(buf[offName:offName+maxNameLen], name)
-		putU64(buf[offArgsLen:], uint64(len(enc)))
-		putU64(buf[offVLogChecksum:], vlogChecksum(seq, name, enc))
-		p.Store(s.hdr, buf)
-		p.FlushOpt(s.hdr, uint64(total))
-		p.CommitFence()
-		e.stats.VLogEntries.Add(1)
-		e.stats.VLogBytes.Add(int64(len(name) + len(enc)))
-		sp.VLogAppend(len(name) + len(enc))
+	if m.e.opts.DisableVLog {
+		return nil
 	}
+	// Stage the whole v_log entry — status word, name, args and checksum —
+	// and write it with a single Store; one flush set and one fence order
+	// it, preserving §5.3's two-fences-per-transaction property at a
+	// fraction of per-field store traffic. The arguments serialize straight
+	// into the staging buffer.
+	s := m.s
+	total := offArgs + encLen
+	if cap(s.Buf) < total {
+		s.Buf = make([]byte, offArgs+int(m.e.opts.ArgsCap))
+	}
+	buf := s.Buf[:total]
+	clear(buf[:offArgs])
+	enc := args.AppendEncoded(buf[offArgs:offArgs])
+	putU64(buf[offStatus:], m.seq<<2|chassis.PhaseOngoing)
+	putU64(buf[offNameLen:], uint64(len(name)))
+	copy(buf[offName:offName+maxNameLen], name)
+	putU64(buf[offArgsLen:], uint64(len(enc)))
+	putU64(buf[offVLogChecksum:], vlogChecksum(m.seq, name, enc))
+	m.p.Store(s.Hdr, buf)
+	m.p.FlushOpt(s.Hdr, uint64(total))
+	m.p.CommitFence()
+	m.e.Stats().VLogEntries.Add(1)
+	m.e.Stats().VLogBytes.Add(int64(len(name) + len(enc)))
+	s.Span.VLogAppend(len(name) + len(enc))
 	return nil
 }
 
@@ -415,238 +220,91 @@ func vlogChecksum(seq uint64, name string, enc []byte) uint64 {
 	return h
 }
 
-// commit flushes the transaction's outputs together with its allocator
-// record (one fence), marks the transaction committed (one fence) — which is
-// what commits the record too — and then applies the record to the heap,
-// unfenced: the next begin's fence retires it, and until then recovery can
-// re-apply it.
-func (e *Engine) commit(s *slot, seq uint64, m *mem, sp *obs.Span) {
-	p := e.pool
-	p.FlushOptLines(m.t.dirty)
-	if m.fenced {
-		// The previous transaction's apply is retired; otherwise Publish
-		// pays the fence for it.
-		s.tx.Retired()
+// Abort ends a txfunc that failed before its first store: the transaction
+// had no persistent effects, so it trivially aborts. Failing after a store
+// breaks the programming model and panics with ErrDirtyAbort.
+func (m *mem) Abort(err error) error {
+	if m.stored {
+		panic(fmt.Errorf("%w: txfunc %q: %v", ErrDirtyAbort, m.name, err))
 	}
-	if e.opts.DisableVLog {
-		// The status word is never written: the record commits with this
-		// fence.
-		s.tx.Publish(0)
-	} else {
-		s.tx.Publish(seq)
-	}
-	p.CommitFence()
-	sp.FlushFence(len(m.t.dirty))
-
-	e.setStatus(s, seq, phaseIdle)
-	s.tx.Apply()
+	m.s.SetStatus(m.seq, chassis.PhaseIdle)
+	return err
 }
 
-func (e *Engine) setStatus(s *slot, seq uint64, phase uint64) {
-	if e.opts.DisableVLog {
-		return
-	}
-	p := e.pool
-	p.Store64(s.hdr+offStatus, seq<<2|phase)
-	p.CommitPersist(s.hdr+offStatus, 8)
+// Commit flushes the transaction's outputs together with its allocator
+// record (one fence) and marks the transaction committed (one fence).
+func (m *mem) Commit() {
+	// A clobber_log entry's fence, or begin's, has retired the previous
+	// transaction's apply; otherwise Publish pays the fence for it.
+	m.s.Commit(m.fenced)
 }
 
-// RunRO implements txn.Engine. Clobber-NVM does not interpose on reads (its
-// key advantage over redo systems), so read-only operations access the pool
-// directly.
-func (e *Engine) RunRO(slotID int, fn txn.ROFunc) error {
-	if err := txn.CheckSlot(slotID); err != nil {
-		return err
-	}
-	return fn(roMem{e.pool})
-}
-
-// Recover implements txn.Engine; see RecoverReport for the full outcome.
-func (e *Engine) Recover() (int, error) {
-	rep, err := e.RecoverReport()
-	return rep.Recovered, err
-}
-
-// slotOutcome classifies what recoverSlot did with one slot.
-type slotOutcome int
-
-const (
-	outcomeIdle slotOutcome = iota
-	outcomeReexecuted
-	outcomeQuarantined
-)
-
-// RecoverReport implements txn.RecoveryReporter (§4.3, hardened). For every
-// slot with an ongoing transaction it (1) restores clobbered inputs from the
-// clobber_log and (2) re-executes the transaction via the registered txfunc
-// with the arguments restored from the v_log. The heap needs no step of its
-// own: pmem.Attach has already settled every arena by its redo records,
-// discarding the interrupted execution's and completing the committed ones.
-//
-// Corrupt logs never panic: a slot whose v_log or clobber_log fails
-// validation is quarantined — its persistent state is left untouched and
-// Run on it returns txn.ErrSlotQuarantined — and recovery of the remaining
-// slots proceeds. The returned error is reserved for conditions that make
-// the engine unusable (a missing txfunc registration, a failing
-// re-execution); a simulated-crash panic (nvm.ErrCrash) still propagates so
-// crash-during-recovery harnesses keep working.
-//
-// Slots recover concurrently: the paper notes this is valid because the
-// strong strict 2PL contract makes ongoing transactions' lock sets — and
-// hence their footprints — disjoint ("Clobber-NVM recovers each thread
-// independently").
-func (e *Engine) RecoverReport() (txn.RecoveryReport, error) {
-	var (
-		mu         sync.Mutex
-		rep        txn.RecoveryReport
-		firstErr   error
-		firstPanic any
-		wg         sync.WaitGroup
-	)
-	rep.Slots = len(e.slots)
-	for _, s := range e.slots {
-		wg.Add(1)
-		go func(s *slot) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					// Re-raise simulated crash injections on the calling
-					// goroutine so harnesses can catch them; convert any
-					// other panic (out-of-range address from a damaged log,
-					// codec panic on garbage bytes) into a quarantine.
-					if err, ok := r.(error); ok && errors.Is(err, nvm.ErrCrash) {
-						mu.Lock()
-						if firstPanic == nil {
-							firstPanic = r
-						}
-						mu.Unlock()
-						return
-					}
-					e.quarantine(s, fmt.Errorf("%w: clobber slot %d: recovery panic: %v", txn.ErrCorruptLog, s.id, r))
-				}
-			}()
-			out, err := e.recoverSlot(s)
-			mu.Lock()
-			defer mu.Unlock()
-			switch out {
-			case outcomeReexecuted:
-				rep.Recovered++
-				rep.Reexecuted++
-			}
-			if err != nil && out != outcomeQuarantined && firstErr == nil {
-				firstErr = err
-			}
-		}(s)
-	}
-	wg.Wait()
-	if firstPanic != nil {
-		panic(firstPanic)
-	}
-	for _, s := range e.slots {
-		if s.quarantined != nil {
-			rep.Quarantined++
-			rep.Errors = append(rep.Errors, s.quarantined)
-		}
-	}
-	return rep, firstErr
-}
-
-func (e *Engine) recoverSlot(s *slot) (slotOutcome, error) {
-	if s.quarantined != nil {
-		return outcomeQuarantined, s.quarantined
-	}
-	p := e.pool
-	status := p.Load64(s.hdr + offStatus)
-	seq, phase := status>>2, status&3
-	s.seq = seq
+// recoverSlot recovers one slot (§4.3, hardened): for an ongoing
+// transaction it (1) restores the clobbered inputs from the clobber_log and
+// (2) re-executes the transaction via the registered txfunc with the
+// arguments restored from the v_log. A slot whose v_log or clobber_log
+// fails validation is quarantined.
+func (e *Engine) recoverSlot(s *chassis.Slot, seq, phase uint64) (chassis.Outcome, error) {
 	switch phase {
-	case phaseIdle:
-		return outcomeIdle, nil
-	case phaseOngoing:
-		// Handled below.
+	case chassis.PhaseIdle:
+		return chassis.Idle, nil
+	case chassis.PhaseOngoing:
 	default:
 		// The status word persists atomically (one aligned 8-byte store),
 		// so an undefined phase cannot come from a torn write.
-		e.quarantine(s, fmt.Errorf("%w: clobber slot %d: undefined phase %d", txn.ErrCorruptLog, s.id, phase))
-		return outcomeQuarantined, s.quarantined
+		return s.Corrupt("undefined phase %d", phase)
 	}
 
 	// Ongoing: validate the v_log entry.
+	p := e.Pool()
 	var (
 		vlogOK  bool
 		nameBuf []byte
 		enc     []byte
 	)
-	nameLen := p.Load64(s.hdr + offNameLen)
-	argsLen := p.Load64(s.hdr + offArgsLen)
+	nameLen := p.Load64(s.Hdr + offNameLen)
+	argsLen := p.Load64(s.Hdr + offArgsLen)
 	if nameLen <= maxNameLen && argsLen <= e.opts.ArgsCap {
 		nameBuf = make([]byte, nameLen)
-		p.Load(s.hdr+offName, nameBuf)
+		p.Load(s.Hdr+offName, nameBuf)
 		enc = make([]byte, argsLen)
 		if argsLen > 0 {
-			p.Load(s.hdr+offArgs, enc)
+			p.Load(s.Hdr+offArgs, enc)
 		}
-		vlogOK = p.Load64(s.hdr+offVLogChecksum) == vlogChecksum(seq, string(nameBuf), enc)
+		vlogOK = p.Load64(s.Hdr+offVLogChecksum) == vlogChecksum(seq, string(nameBuf), enc)
 	}
 
 	// Clobber appends are fenced per entry, so the strict scan is sound.
-	entries, scanErr := s.dlog.ScanStrict(seq)
+	entries, scanErr := s.Log.ScanStrict(seq)
 	if !vlogOK {
 		if scanErr != nil || len(entries) > 0 {
 			// Clobber entries exist for this sequence (or the log shows
 			// post-hoc damage). Sequence numbers are never reused across
 			// attempts, and logClobber only runs after begin's fence — so
 			// a valid v_log entry WAS durable and has since been damaged.
-			e.quarantine(s, fmt.Errorf("%w: clobber slot %d: v_log checksum mismatch for seq %d with %d clobber entries",
-				txn.ErrCorruptLog, s.id, seq, len(entries)))
-			return outcomeQuarantined, s.quarantined
+			return s.Corrupt("v_log checksum mismatch for seq %d with %d clobber entries", seq, len(entries))
 		}
 		// Torn begin: the fence never completed, the transaction performed
 		// no persistent writes. Clear and move on. (A corrupted v_log of a
 		// transaction with zero clobber entries is indistinguishable from
 		// this case; the slot state stays consistent either way, only the
 		// re-execution is lost.)
-		e.setStatus(s, seq, phaseIdle)
-		return outcomeIdle, nil
+		s.SetStatus(seq, chassis.PhaseIdle)
+		return chassis.Idle, nil
 	}
 	if scanErr != nil {
-		e.quarantine(s, fmt.Errorf("clobber: slot %d: clobber log: %w", s.id, scanErr))
-		return outcomeQuarantined, s.quarantined
+		return s.Quarantine(fmt.Errorf("clobber log: %w", scanErr))
 	}
-	// Checksummed entries carry the addresses they were logged with, but
-	// verify bounds before touching memory all the same.
-	for _, en := range entries {
-		end := en.Addr + uint64(len(en.Data))
-		if end > p.Size() || end < en.Addr {
-			e.quarantine(s, fmt.Errorf("%w: clobber slot %d: log entry addresses [%#x,%#x) outside pool",
-				txn.ErrCorruptLog, s.id, en.Addr, end))
-			return outcomeQuarantined, s.quarantined
-		}
+	// 1. Restore clobbered inputs.
+	if !s.Restore(entries) {
+		return chassis.Quarantined, nil
 	}
-
-	// 1. Restore clobbered inputs (reverse order, then one fence).
-	for i := len(entries) - 1; i >= 0; i-- {
-		p.Store(entries[i].Addr, entries[i].Data)
-		p.FlushOpt(entries[i].Addr, uint64(len(entries[i].Data)))
-	}
-	if len(entries) > 0 {
-		p.Fence()
-	}
-
 	// 2. Re-execute.
 	args, err := txn.DecodeArgs(enc)
 	if err != nil {
-		e.quarantine(s, fmt.Errorf("%w: clobber slot %d: undecodable v_log args: %v", txn.ErrCorruptLog, s.id, err))
-		return outcomeQuarantined, s.quarantined
+		return s.Corrupt("undecodable v_log args: %v", err)
 	}
-	fn, err := e.reg.Lookup(string(nameBuf))
-	if err != nil {
-		return outcomeIdle, fmt.Errorf("clobber: slot %d: recovery needs txfunc %q: %w", s.id, nameBuf, err)
-	}
-	if err := e.runLocked(s, string(nameBuf), args, fn, true); err != nil {
-		return outcomeIdle, fmt.Errorf("clobber: slot %d: re-execution of %q failed: %w", s.id, nameBuf, err)
-	}
-	return outcomeReexecuted, nil
+	return s.Reexecute(string(nameBuf), args)
 }
 
 // SlotStatus describes one worker slot's persistent recovery state, for
@@ -669,27 +327,27 @@ type SlotStatus struct {
 // SlotStatuses reads every slot's persistent state. Safe to call on an
 // attached engine before Recover to see what recovery would do.
 func (e *Engine) SlotStatuses() []SlotStatus {
-	p := e.pool
-	out := make([]SlotStatus, 0, len(e.slots))
-	for _, s := range e.slots {
-		if s.quarantined != nil {
-			out = append(out, SlotStatus{Slot: s.id, Phase: "quarantined"})
+	p := e.Pool()
+	out := make([]SlotStatus, 0, len(e.Slots()))
+	for _, s := range e.Slots() {
+		if s.Quarantined() != nil {
+			out = append(out, SlotStatus{Slot: s.ID, Phase: "quarantined"})
 			continue
 		}
-		status := p.Load64(s.hdr + offStatus)
+		status := p.Load64(s.Hdr + offStatus)
 		seq, phase := status>>2, status&3
-		st := SlotStatus{Slot: s.id, Seq: seq}
+		st := SlotStatus{Slot: s.ID, Seq: seq}
 		switch phase {
-		case phaseOngoing:
+		case chassis.PhaseOngoing:
 			st.Phase = "ongoing"
-			nameLen := p.Load64(s.hdr + offNameLen)
+			nameLen := p.Load64(s.Hdr + offNameLen)
 			if nameLen <= maxNameLen {
 				buf := make([]byte, nameLen)
-				p.Load(s.hdr+offName, buf)
+				p.Load(s.Hdr+offName, buf)
 				st.TxFunc = string(buf)
 			}
-			st.ArgBytes = int(p.Load64(s.hdr + offArgsLen))
-			st.ClobberEntries = len(s.dlog.Scan(seq))
+			st.ArgBytes = int(p.Load64(s.Hdr + offArgsLen))
+			st.ClobberEntries = len(s.Log.Scan(seq))
 		default:
 			st.Phase = "idle"
 		}

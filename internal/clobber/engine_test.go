@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pmem"
 	"clobbernvm/internal/txn"
@@ -573,7 +574,7 @@ func TestAttachRejectsForeignPool(t *testing.T) {
 }
 
 func TestConcurrentSlots(t *testing.T) {
-	p, e := newEngine(t, Options{Slots: 8})
+	p, e := newEngine(t, Options{Options: chassis.Options{Slots: 8}})
 	// Each worker pushes onto its own list (disjoint lock sets per the
 	// programming model).
 	heads := make([]uint64, 4)

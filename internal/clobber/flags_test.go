@@ -4,50 +4,49 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"clobbernvm/internal/chassis"
 )
 
-// val reads a line's packed value without mutating the table.
-func (t *flagTable) val(line uint64) uint32 {
-	k := line + 1
-	i := mixHash(k) & t.mask
-	for {
-		if t.gen[i] != t.cur {
-			return 0
-		}
-		if t.keys[i] == k {
-			return t.vals[i]
-		}
-		i = (i + 1) & t.mask
-	}
+// The slot line table (chassis.Lines) is clobber's access map: these tests
+// pin the flag arithmetic the clobber-write detector relies on.
+
+func newFlagTable() *chassis.Lines {
+	t := new(chassis.Lines)
+	t.Reset()
+	return t
 }
+
+// val reads a line's packed flags (adding the line, flagless, if absent).
+func val(t *chassis.Lines, line uint64) uint32 { return *t.At(line) }
 
 func TestFlagTableBasic(t *testing.T) {
 	ft := newFlagTable()
-	if got := ft.val(42); got != 0 {
+	if got := val(ft, 42); got != 0 {
 		t.Fatalf("empty val = %#x", got)
 	}
-	ft.markInput(42, 0b0001, false)
-	if got := ft.val(42); got != 0b0001 {
+	markInput(ft, 42, 0b0001, false)
+	if got := val(ft, 42); got != 0b0001 {
 		t.Fatalf("val after markInput = %#x", got)
 	}
-	if old := ft.markStored(42, 0b0011); old != 0b0001 {
+	if old := ft.MarkStored(42, 0b0011); old != 0b0001 {
 		t.Fatalf("markStored returned %#x", old)
 	}
-	if got := ft.val(42); got != 0b0011<<flagsStoredShift|0b0001 {
+	if got := val(ft, 42); got != 0b0011<<chassis.StoredShift|0b0001 {
 		t.Fatalf("val = %#x", got)
 	}
 	// Refined input marking skips stored words.
-	ft.markInput(42, 0b0110, false)
-	if got := ft.val(42); got != 0b0011<<flagsStoredShift|0b0101 {
+	markInput(ft, 42, 0b0110, false)
+	if got := val(ft, 42); got != 0b0011<<chassis.StoredShift|0b0101 {
 		t.Fatalf("val after refined markInput = %#x", got)
 	}
 	// Conservative marks them anyway.
-	ft.markInput(42, 0b0010, true)
-	if got := ft.val(42); got != 0b0011<<flagsStoredShift|0b0111 {
+	markInput(ft, 42, 0b0010, true)
+	if got := val(ft, 42); got != 0b0011<<chassis.StoredShift|0b0111 {
 		t.Fatalf("val after conservative markInput = %#x", got)
 	}
-	ft.markLogged(42, 0b0100)
-	if got := ft.val(42); got != 0b0100<<flagsLoggedShift|0b0011<<flagsStoredShift|0b0111 {
+	ft.MarkLogged(42, 0b0100)
+	if got := val(ft, 42); got != 0b0100<<chassis.LoggedShift|0b0011<<chassis.StoredShift|0b0111 {
 		t.Fatalf("val after markLogged = %#x", got)
 	}
 }
@@ -55,8 +54,8 @@ func TestFlagTableBasic(t *testing.T) {
 func TestFlagTableZeroKey(t *testing.T) {
 	// Line index 0 must be storable (keys are offset by one internally).
 	ft := newFlagTable()
-	ft.markLogged(0, 0b1000)
-	if got := ft.val(0); got != 0b1000<<flagsLoggedShift {
+	ft.MarkLogged(0, 0b1000)
+	if got := val(ft, 0); got != 0b1000<<chassis.LoggedShift {
 		t.Fatalf("val(0) = %#x", got)
 	}
 }
@@ -65,14 +64,14 @@ func TestFlagTableGrowth(t *testing.T) {
 	ft := newFlagTable()
 	const n = 10000
 	for i := uint64(0); i < n; i++ {
-		ft.markInput(i*3, uint32(1<<(i%8)), true)
+		markInput(ft, i*3, uint32(1<<(i%8)), true)
 	}
 	for i := uint64(0); i < n; i++ {
-		if got := ft.val(i * 3); got != uint32(1<<(i%8)) {
+		if got := val(ft, i*3); got != uint32(1<<(i%8)) {
 			t.Fatalf("after growth val(%d) = %#x, want %#x", i*3, got, 1<<(i%8))
 		}
 	}
-	if got := ft.val(1); got != 0 {
+	if got := val(ft, 1); got != 0 {
 		t.Fatalf("absent key = %#x", got)
 	}
 }
@@ -96,23 +95,23 @@ func TestFlagTableMatchesMapReference(t *testing.T) {
 			r := at(l)
 			switch op % 3 {
 			case 0: // refined load
-				ft.markInput(l, wmask, false)
+				markInput(ft, l, wmask, false)
 				r.input |= wmask &^ r.stored
 			case 1: // store
-				old := ft.markStored(l, wmask)
-				want := r.logged<<flagsLoggedShift | r.stored<<flagsStoredShift | r.input
+				old := ft.MarkStored(l, wmask)
+				want := r.logged<<chassis.LoggedShift | r.stored<<chassis.StoredShift | r.input
 				if old != want {
 					return false
 				}
 				r.stored |= wmask
 			case 2: // logged
-				ft.markLogged(l, wmask)
+				ft.MarkLogged(l, wmask)
 				r.logged |= wmask
 			}
 		}
 		for l, r := range refs {
-			want := r.logged<<flagsLoggedShift | r.stored<<flagsStoredShift | r.input
-			if ft.val(l) != want {
+			want := r.logged<<chassis.LoggedShift | r.stored<<chassis.StoredShift | r.input
+			if val(ft, l) != want {
 				return false
 			}
 		}
@@ -129,14 +128,14 @@ func TestFlagTableDirtyLineDedup(t *testing.T) {
 	seen := map[uint64]bool{}
 	for i := 0; i < 5000; i++ {
 		l := uint64(rng.Intn(600))
-		ft.markStored(l, uint32(1<<rng.Intn(8)))
+		ft.MarkStored(l, uint32(1<<rng.Intn(8)))
 		seen[l] = true
 	}
-	if len(ft.dirty) != len(seen) {
-		t.Fatalf("dirty lines = %d, want %d (dedup broken)", len(ft.dirty), len(seen))
+	if len(ft.Dirty) != len(seen) {
+		t.Fatalf("dirty lines = %d, want %d (dedup broken)", len(ft.Dirty), len(seen))
 	}
 	got := map[uint64]bool{}
-	for _, l := range ft.dirty {
+	for _, l := range ft.Dirty {
 		if got[l] {
 			t.Fatalf("line %d recorded twice", l)
 		}
@@ -150,19 +149,19 @@ func TestFlagTableDirtyLineDedup(t *testing.T) {
 func TestFlagTableReset(t *testing.T) {
 	ft := newFlagTable()
 	for i := uint64(0); i < 1000; i++ {
-		ft.markStored(i, 0xff)
+		ft.MarkStored(i, 0xff)
 	}
-	ft.reset()
-	if len(ft.dirty) != 0 || ft.n != 0 {
-		t.Fatalf("reset left dirty=%d n=%d", len(ft.dirty), ft.n)
+	ft.Reset()
+	if len(ft.Dirty) != 0 || ft.Len() != 0 {
+		t.Fatalf("reset left dirty=%d n=%d", len(ft.Dirty), ft.Len())
 	}
 	for i := uint64(0); i < 1000; i++ {
-		if got := ft.val(i); got != 0 {
+		if got := val(ft, i); got != 0 {
 			t.Fatalf("val(%d) = %#x after reset", i, got)
 		}
 	}
 	// Table stays usable after reset.
-	if old := ft.markStored(7, 0b1); old != 0 {
+	if old := ft.MarkStored(7, 0b1); old != 0 {
 		t.Fatalf("markStored after reset returned %#x", old)
 	}
 }

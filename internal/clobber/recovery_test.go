@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/txn"
 )
@@ -118,7 +119,7 @@ func TestRecoveryRequiresRegistration(t *testing.T) {
 // TestLargeTransactionManyClobbers stresses log capacity accounting with a
 // transaction that clobbers hundreds of distinct words.
 func TestLargeTransactionManyClobbers(t *testing.T) {
-	p, e := newEngine(t, Options{DataLogCap: 1 << 20})
+	p, e := newEngine(t, Options{Options: chassis.Options{DataLogCap: 1 << 20}})
 	base := p.RootSlot(3)
 	arrSlot := base
 	e.Register("initarr", func(m txn.Mem, args *txn.Args) error {
@@ -178,7 +179,7 @@ func TestLargeTransactionManyClobbers(t *testing.T) {
 // TestTxTooLargeSurfaces ensures log exhaustion panics with ErrTxTooLarge
 // (the transaction cannot abort, so this is a deliberate hard failure).
 func TestTxTooLargeSurfaces(t *testing.T) {
-	p, e := newEngine(t, Options{DataLogCap: 512})
+	p, e := newEngine(t, Options{Options: chassis.Options{DataLogCap: 512}})
 	cell := p.RootSlot(3)
 	e.Register("huge", func(m txn.Mem, args *txn.Args) error {
 		for i := uint64(0); i < 64; i++ {
@@ -295,7 +296,7 @@ func TestRangeStoreLogsHullOfClobberedInputs(t *testing.T) {
 		if got := p.Load64(word(9)); got != 309+9 {
 			t.Fatalf("the range store did not reach media before the crash: word 9 = %d", got)
 		}
-		entries, err := e2.slots[0].dlog.ScanStrict(e2.SlotStatuses()[0].Seq)
+		entries, err := e2.Slots()[0].Log.ScanStrict(e2.SlotStatuses()[0].Seq)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/clobber"
 	"clobbernvm/internal/crashsweep"
 	"clobbernvm/internal/nvm"
@@ -27,7 +28,7 @@ func sweepSpec(made func(*pmem.Allocator)) crashsweep.EngineSpec {
 		Name: "clobber", Style: crashsweep.StyleAtomic,
 		Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
 			seen(a)
-			return clobber.Create(p, a, clobber.Options{Slots: 2, ArgsCap: 1024, FreeLogCap: 128, DataLogCap: 64 << 10})
+			return clobber.Create(p, a, clobber.Options{Options: chassis.Options{Slots: 2, FreeLogCap: 128, DataLogCap: 64 << 10}, ArgsCap: 1024})
 		},
 		Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
 			seen(a)

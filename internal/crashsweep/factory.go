@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"clobbernvm/internal/atlas"
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/clobber"
 	"clobbernvm/internal/ido"
 	"clobbernvm/internal/nvm"
@@ -56,103 +57,27 @@ func Specs() []EngineSpec {
 // data-log capacities. Harnesses that restore or snapshot whole pool images
 // per crash point (the sweep, proptest) use small logs so each iteration
 // stays cheap; throughput benchmarks size them up.
+//
+// Each atomic engine appears twice: as created by default and, named with a
+// "-line" suffix, with its data log in write-combined line mode, so every
+// sweep/proptest/chaos cell can run against the streaming persistence path.
+// Attach stays flagless — the log magic records the mode.
 func SpecsSized(slots int, dataLogCap uint64) []EngineSpec {
-	return []EngineSpec{
-		{
-			Name: "clobber", Style: StyleAtomic,
-			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return clobber.Create(p, a, clobber.Options{
-					Slots: slots, DataLogCap: dataLogCap, ArgsCap: 1024,
-					FreeLogCap: 128,
-				})
-			},
-			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return clobber.Attach(p, a, clobber.Options{})
-			},
-		},
-		{
-			Name: "pmdk", Style: StyleAtomic,
-			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return undolog.Create(p, a, undolog.Options{
-					Slots: slots, DataLogCap: dataLogCap, FreeLogCap: 128,
-				})
-			},
-			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return undolog.Attach(p, a, undolog.Options{})
-			},
-		},
-		{
-			Name: "mnemosyne", Style: StyleAtomic,
-			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return redolog.Create(p, a, redolog.Options{
-					Slots: slots, DataLogCap: dataLogCap, FreeLogCap: 128,
-				})
-			},
-			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return redolog.Attach(p, a, redolog.Options{})
-			},
-		},
-		{
-			Name: "atlas", Style: StyleAtomic,
-			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return atlas.Create(p, a, atlas.Options{
-					Slots: slots, DataLogCap: dataLogCap, FreeLogCap: 128,
-				})
-			},
-			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return atlas.Attach(p, a, atlas.Options{})
-			},
-		},
-		{
-			// Line-writer variants: identical engines with the data log in
-			// write-combined line mode, so every sweep/proptest/chaos cell
-			// can run against the streaming persistence path. Attach stays
-			// flagless — the log magic records the mode.
-			Name: "clobber-line", Style: StyleAtomic,
-			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return clobber.Create(p, a, clobber.Options{
-					Slots: slots, DataLogCap: dataLogCap, ArgsCap: 1024,
-					FreeLogCap: 128, LineLog: true,
-				})
-			},
-			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return clobber.Attach(p, a, clobber.Options{})
-			},
-		},
-		{
-			Name: "pmdk-line", Style: StyleAtomic,
-			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return undolog.Create(p, a, undolog.Options{
-					Slots: slots, DataLogCap: dataLogCap, FreeLogCap: 128, LineLog: true,
-				})
-			},
-			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return undolog.Attach(p, a, undolog.Options{})
-			},
-		},
-		{
-			Name: "mnemosyne-line", Style: StyleAtomic,
-			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return redolog.Create(p, a, redolog.Options{
-					Slots: slots, DataLogCap: dataLogCap, FreeLogCap: 128, LineLog: true,
-				})
-			},
-			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return redolog.Attach(p, a, redolog.Options{})
-			},
-		},
-		{
-			Name: "atlas-line", Style: StyleAtomic,
-			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return atlas.Create(p, a, atlas.Options{
-					Slots: slots, DataLogCap: dataLogCap, FreeLogCap: 128, LineLog: true,
-				})
-			},
-			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return atlas.Attach(p, a, atlas.Options{})
-			},
-		},
-		{
+	var specs []EngineSpec
+	for _, line := range []bool{false, true} {
+		o := chassis.Options{Slots: slots, DataLogCap: dataLogCap, FreeLogCap: 128, LineLog: line}
+		suffix := ""
+		if line {
+			suffix = "-line"
+		}
+		specs = append(specs,
+			atomicSpec("clobber"+suffix, o, createClobber, attachClobber),
+			atomicSpec("pmdk"+suffix, o, undolog.Create, undolog.Attach),
+			atomicSpec("mnemosyne"+suffix, o, redolog.Create, redolog.Attach),
+			atomicSpec("atlas"+suffix, o, atlas.Create, atlas.Attach))
+	}
+	return append(specs,
+		EngineSpec{
 			Name: "ido", Style: StyleMeter,
 			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
 				return ido.New(p, a), nil
@@ -161,7 +86,7 @@ func SpecsSized(slots int, dataLogCap uint64) []EngineSpec {
 				return ido.New(p, a), nil
 			},
 		},
-		{
+		EngineSpec{
 			Name: "justdo", Style: StyleMeter,
 			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
 				return ido.NewJustDo(p, a), nil
@@ -169,8 +94,29 @@ func SpecsSized(slots int, dataLogCap uint64) []EngineSpec {
 			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
 				return ido.NewJustDo(p, a), nil
 			},
+		})
+}
+
+// atomicSpec is the roster entry of a failure-atomicity engine created with
+// o and attached with the zero options.
+func atomicSpec[E pds.Engine](name string, o chassis.Options, create, attach func(*nvm.Pool, *pmem.Allocator, chassis.Options) (E, error)) EngineSpec {
+	return EngineSpec{
+		Name: name, Style: StyleAtomic,
+		Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
+			return create(p, a, o)
+		},
+		Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
+			return attach(p, a, chassis.Options{})
 		},
 	}
+}
+
+func createClobber(p *nvm.Pool, a *pmem.Allocator, o chassis.Options) (*clobber.Engine, error) {
+	return clobber.Create(p, a, clobber.Options{Options: o, ArgsCap: 1024})
+}
+
+func attachClobber(p *nvm.Pool, a *pmem.Allocator, _ chassis.Options) (*clobber.Engine, error) {
+	return clobber.Attach(p, a, clobber.Options{})
 }
 
 // EngineByName returns the spec for name, or an error listing the roster.

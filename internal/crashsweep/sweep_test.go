@@ -77,12 +77,12 @@ type naiveEngine struct {
 
 var _ pds.Engine = (*naiveEngine)(nil)
 
-func (n *naiveEngine) Name() string                            { return "naive" }
-func (n *naiveEngine) Register(name string, fn txn.TxFunc)     { n.reg.Register(name, fn) }
-func (n *naiveEngine) Stats() *txn.Stats                       { return &n.stats }
-func (n *naiveEngine) Pool() *nvm.Pool                         { return n.pool }
-func (n *naiveEngine) Recover() (int, error)                   { return 0, nil }
-func (n *naiveEngine) RunRO(slot int, fn txn.ROFunc) error     { return fn(naiveMem{n}) }
+func (n *naiveEngine) Name() string                        { return "naive" }
+func (n *naiveEngine) Register(name string, fn txn.TxFunc) { n.reg.Register(name, fn) }
+func (n *naiveEngine) Stats() *txn.Stats                   { return &n.stats }
+func (n *naiveEngine) Pool() *nvm.Pool                     { return n.pool }
+func (n *naiveEngine) Recover() (int, error)               { return 0, nil }
+func (n *naiveEngine) RunRO(slot int, fn txn.ROFunc) error { return fn(naiveMem{n}) }
 func (n *naiveEngine) Run(slot int, name string, args *txn.Args) error {
 	fn, err := n.reg.Lookup(name)
 	if err != nil {

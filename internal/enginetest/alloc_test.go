@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"clobbernvm/internal/atlas"
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/clobber"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pmem"
@@ -173,7 +174,7 @@ func TestFreesBeyondRecordCapacityRejected(t *testing.T) {
 		create   func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error)
 	}{
 		{"clobber", clobber.ErrTxTooLarge, func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
-			return clobber.Create(p, a, clobber.Options{Slots: 2, FreeLogCap: 4})
+			return clobber.Create(p, a, clobber.Options{Options: chassis.Options{Slots: 2, FreeLogCap: 4}})
 		}},
 		{"pmdk", undolog.ErrTxTooLarge, func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
 			return undolog.Create(p, a, undolog.Options{Slots: 2, FreeLogCap: 4})

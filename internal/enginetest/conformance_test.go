@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"clobbernvm/internal/atlas"
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/clobber"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pmem"
@@ -33,7 +34,7 @@ var factories = []factory{
 	{
 		name: "clobber", supportsAbort: false,
 		create: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
-			return clobber.Create(p, a, clobber.Options{Slots: 8})
+			return clobber.Create(p, a, clobber.Options{Options: chassis.Options{Slots: 8}})
 		},
 		attach: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
 			return clobber.Attach(p, a, clobber.Options{})
@@ -72,7 +73,7 @@ var factories = []factory{
 	{
 		name: "clobber-line", supportsAbort: false,
 		create: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
-			return clobber.Create(p, a, clobber.Options{Slots: 8, LineLog: true})
+			return clobber.Create(p, a, clobber.Options{Options: chassis.Options{Slots: 8, LineLog: true}})
 		},
 		attach: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
 			return clobber.Attach(p, a, clobber.Options{})

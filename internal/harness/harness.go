@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"clobbernvm/internal/atlas"
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/clobber"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pds"
@@ -185,12 +186,13 @@ func newEngine(kind EngineKind, pool *nvm.Pool, alloc *pmem.Allocator, slots int
 	if !fresh {
 		slots, dataCap = 0, 0
 	}
-	clob := func(o clobber.Options) (pds.Engine, error) {
-		o.Slots, o.DataLogCap, o.LineLog = slots, dataCap, lineLog
+	o := chassis.Options{Slots: slots, DataLogCap: dataCap, LineLog: lineLog}
+	clob := func(c clobber.Options) (pds.Engine, error) {
+		c.Options = o
 		if fresh {
-			return clobber.Create(pool, alloc, o)
+			return clobber.Create(pool, alloc, c)
 		}
-		return clobber.Attach(pool, alloc, o)
+		return clobber.Attach(pool, alloc, c)
 	}
 	switch kind {
 	case EngineClobber:
@@ -205,19 +207,19 @@ func newEngine(kind EngineKind, pool *nvm.Pool, alloc *pmem.Allocator, slots int
 		return clob(clobber.Options{DisableVLog: true, DisableClobberLog: true})
 	case EnginePMDK:
 		if fresh {
-			return undolog.Create(pool, alloc, undolog.Options{Slots: slots, DataLogCap: dataCap, LineLog: lineLog})
+			return undolog.Create(pool, alloc, o)
 		}
-		return undolog.Attach(pool, alloc, undolog.Options{})
+		return undolog.Attach(pool, alloc, o)
 	case EngineMnemosyne:
 		if fresh {
-			return redolog.Create(pool, alloc, redolog.Options{Slots: slots, DataLogCap: dataCap, LineLog: lineLog})
+			return redolog.Create(pool, alloc, o)
 		}
-		return redolog.Attach(pool, alloc, redolog.Options{})
+		return redolog.Attach(pool, alloc, o)
 	case EngineAtlas:
 		if fresh {
-			return atlas.Create(pool, alloc, atlas.Options{Slots: slots, DataLogCap: dataCap, LineLog: lineLog})
+			return atlas.Create(pool, alloc, o)
 		}
-		return atlas.Attach(pool, alloc, atlas.Options{})
+		return atlas.Attach(pool, alloc, o)
 	default:
 		return nil, fmt.Errorf("harness: unknown engine kind %q", kind)
 	}

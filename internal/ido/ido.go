@@ -21,9 +21,9 @@
 package ido
 
 import (
-	"errors"
 	"fmt"
 
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/obs"
 	"clobbernvm/internal/pmem"
@@ -46,92 +46,22 @@ const StackSlotBytes = 16 * 8
 
 // Meter is the iDO accounting engine. It satisfies txn.Engine so the same
 // benchmark code drives it, but it provides no failure atomicity: Recover is
-// a no-op, exactly like the measurement-only pass in the paper.
-type Meter struct {
-	pool  *nvm.Pool
-	alloc *pmem.Allocator
-	reg   txn.Registry
-	stats txn.Stats
-	probe *obs.Probe
-}
-
-var (
-	_ txn.Engine           = (*Meter)(nil)
-	_ txn.RecoveryReporter = (*Meter)(nil)
-)
+// a no-op, exactly like the measurement-only pass in the paper. In its Stats,
+// LogEntries counts region boundaries (iDO's logging points) and LogBytes
+// boundary-record bytes.
+type Meter struct{ *chassis.Meter }
 
 // New creates an iDO meter over the pool and allocator.
 func New(p *nvm.Pool, a *pmem.Allocator) *Meter {
-	m := &Meter{pool: p, alloc: a}
-	m.probe = obs.NewProbe(m.Name())
+	m := &Meter{}
+	m.Meter = chassis.NewMeter("ido", p, func() chassis.Mem { return &tracer{m: m, alloc: a} })
 	return m
-}
-
-// Name implements txn.Engine.
-func (m *Meter) Name() string { return "ido" }
-
-// Register implements txn.Engine.
-func (m *Meter) Register(name string, fn txn.TxFunc) { m.reg.Register(name, fn) }
-
-// Stats implements txn.Engine. LogEntries counts region boundaries (iDO's
-// logging points); LogBytes counts boundary-record bytes.
-func (m *Meter) Stats() *txn.Stats { return &m.stats }
-
-// Pool returns the meter's pool.
-func (m *Meter) Pool() *nvm.Pool { return m.pool }
-
-// Run implements txn.Engine: execute with idempotent-region accounting.
-func (m *Meter) Run(slot int, name string, args *txn.Args) error {
-	fn, err := m.reg.Lookup(name)
-	if err != nil {
-		return err
-	}
-	if err := txn.CheckSlot(slot); err != nil {
-		return err
-	}
-	if args == nil {
-		args = txn.NoArgs
-	}
-	sp := m.probe.Start(slot, name)
-	sp.BeginDone(0)
-	t := &tracer{m: m, read: make(map[uint64]struct{}), dirty: make(map[uint64]struct{})}
-	// The FASE entry is iDO's first logging point (it must be able to
-	// resume from the transaction's beginning).
-	t.boundary()
-	if err := fn(t, args); err != nil {
-		sp.Aborted()
-		return err
-	}
-	sp.ExecDone()
-	// Closing boundary: the final region's modified locations are flushed
-	// and the resume point advances past the FASE.
-	t.boundary()
-	m.stats.Committed.Add(1)
-	sp.Committed(false)
-	return nil
-}
-
-// RunRO implements txn.Engine.
-func (m *Meter) RunRO(slot int, fn txn.ROFunc) error {
-	if err := txn.CheckSlot(slot); err != nil {
-		return err
-	}
-	return fn(roMem{m.pool})
-}
-
-// Recover implements txn.Engine. The meter does not implement iDO's
-// resumption machinery — it exists to measure logging traffic.
-func (m *Meter) Recover() (int, error) { return 0, nil }
-
-// RecoverReport implements txn.RecoveryReporter: meters keep no persistent
-// logs, so there is never anything to recover or quarantine.
-func (m *Meter) RecoverReport() (txn.RecoveryReport, error) {
-	return txn.RecoveryReport{}, nil
 }
 
 // tracer is the region-tracking memory view.
 type tracer struct {
-	m *Meter
+	m     *Meter
+	alloc *pmem.Allocator
 	// read is the current idempotent region's input set (words).
 	read map[uint64]struct{}
 	// dirty is the current region's modified line set, flushed at the next
@@ -139,31 +69,44 @@ type tracer struct {
 	dirty map[uint64]struct{}
 }
 
-var _ txn.Mem = (*tracer)(nil)
+var _ chassis.Mem = (*tracer)(nil)
+
+// Begin is the FASE entry, iDO's first logging point: it must be able to
+// resume from the transaction's beginning.
+func (t *tracer) Begin(string, *txn.Args) error {
+	t.boundary()
+	return nil
+}
+
+func (t *tracer) Abort(err error) error { return err }
+
+// Commit is the closing boundary: the final region's modified locations are
+// flushed and the resume point advances past the FASE.
+func (t *tracer) Commit() { t.boundary() }
 
 // boundary closes the current idempotent region: persist the register/stack
 // snapshot (log record) and flush+fence the region's modified locations.
 func (t *tracer) boundary() {
-	p := t.m.pool
+	p := t.m.Pool()
 	for l := range t.dirty {
 		p.Flush(l*nvm.LineSize, nvm.LineSize)
 	}
 	p.CommitFence()
-	t.m.stats.LogEntries.Add(1)
-	t.m.stats.LogBytes.Add(RegisterSnapshotBytes + StackSlotBytes)
-	t.m.probe.LogAppend(obs.KindLogAppend, 0, 0, RegisterSnapshotBytes+StackSlotBytes)
+	t.m.Stats().LogEntries.Add(1)
+	t.m.Stats().LogBytes.Add(RegisterSnapshotBytes + StackSlotBytes)
+	t.m.Probe().LogAppend(obs.KindLogAppend, 0, 0, RegisterSnapshotBytes+StackSlotBytes)
 	t.read = make(map[uint64]struct{})
 	t.dirty = make(map[uint64]struct{})
 }
 
 func (t *tracer) Load(addr uint64, buf []byte) {
 	t.trackLoad(addr, uint64(len(buf)))
-	t.m.pool.Load(addr, buf)
+	t.m.Pool().Load(addr, buf)
 }
 
 func (t *tracer) Load64(addr uint64) uint64 {
 	t.trackLoad(addr, 8)
-	return t.m.pool.Load64(addr)
+	return t.m.Pool().Load64(addr)
 }
 
 func (t *tracer) trackLoad(addr, n uint64) {
@@ -177,12 +120,12 @@ func (t *tracer) trackLoad(addr, n uint64) {
 
 func (t *tracer) Store(addr uint64, data []byte) {
 	t.preStore(addr, uint64(len(data)))
-	t.m.pool.Store(addr, data)
+	t.m.Pool().Store(addr, data)
 }
 
 func (t *tracer) Store64(addr uint64, v uint64) {
 	t.preStore(addr, 8)
-	t.m.pool.Store64(addr, v)
+	t.m.Pool().Store64(addr, v)
 }
 
 // preStore ends the region if this store overwrites a region input (the
@@ -203,23 +146,10 @@ func (t *tracer) preStore(addr, n uint64) {
 }
 
 func (t *tracer) Alloc(size uint64) (txn.Addr, error) {
-	return t.m.alloc.Alloc(0, size)
+	return t.alloc.Alloc(0, size)
 }
 
-func (t *tracer) Free(addr txn.Addr) error { return t.m.alloc.Free(addr) }
-
-type roMem struct{ pool *nvm.Pool }
-
-var _ txn.Mem = roMem{}
-
-func (r roMem) Load(addr uint64, buf []byte)   { r.pool.Load(addr, buf) }
-func (r roMem) Load64(addr uint64) uint64      { return r.pool.Load64(addr) }
-func (r roMem) Store(addr uint64, data []byte) { panic("ido: store in read-only op") }
-func (r roMem) Store64(addr uint64, v uint64)  { panic("ido: store in read-only op") }
-func (r roMem) Alloc(size uint64) (txn.Addr, error) {
-	return 0, errors.New("ido: alloc in read-only op")
-}
-func (r roMem) Free(addr txn.Addr) error { return errors.New("ido: free in read-only op") }
+func (t *tracer) Free(addr txn.Addr) error { return t.alloc.Free(addr) }
 
 // String describes the meter configuration.
 func (m *Meter) String() string {

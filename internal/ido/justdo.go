@@ -1,10 +1,8 @@
 package ido
 
 import (
-	"errors"
-
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/nvm"
-	"clobbernvm/internal/obs"
 	"clobbernvm/internal/pmem"
 	"clobbernvm/internal/txn"
 )
@@ -16,22 +14,13 @@ import (
 // can resume from the interrupted instruction. JUSTDO assumes persistent
 // caches precisely because this per-store log-and-fence discipline is
 // ruinous on conventional machines — which is the comparison the meter
-// quantifies.
+// quantifies. In its Stats, LogEntries counts per-store records. JUSTDO
+// forbids volatile data during FASEs but reads of persistent state are
+// direct (RunRO).
 //
 // Like the iDO Meter, this is an accounting instrument (the paper's own
 // JUSTDO numbers come from re-implementation too), not a recoverable engine.
-type JustDoMeter struct {
-	pool  *nvm.Pool
-	alloc *pmem.Allocator
-	reg   txn.Registry
-	stats txn.Stats
-	probe *obs.Probe
-}
-
-var (
-	_ txn.Engine           = (*JustDoMeter)(nil)
-	_ txn.RecoveryReporter = (*JustDoMeter)(nil)
-)
+type JustDoMeter struct{ *chassis.Meter }
 
 // JustDoRecordBytes is one JUSTDO log record: program counter, target
 // address, value (8 bytes each).
@@ -39,72 +28,25 @@ const JustDoRecordBytes = 3 * 8
 
 // NewJustDo creates a JUSTDO meter over the pool and allocator.
 func NewJustDo(p *nvm.Pool, a *pmem.Allocator) *JustDoMeter {
-	m := &JustDoMeter{pool: p, alloc: a}
-	m.probe = obs.NewProbe(m.Name())
+	m := &JustDoMeter{}
+	m.Meter = chassis.NewMeter("justdo", p, func() chassis.Mem { return justdoMem{m, a} })
 	return m
 }
 
-// Name implements txn.Engine.
-func (m *JustDoMeter) Name() string { return "justdo" }
-
-// Register implements txn.Engine.
-func (m *JustDoMeter) Register(name string, fn txn.TxFunc) { m.reg.Register(name, fn) }
-
-// Stats implements txn.Engine. LogEntries counts per-store records.
-func (m *JustDoMeter) Stats() *txn.Stats { return &m.stats }
-
-// Pool returns the meter's pool (pds.Engine compatibility).
-func (m *JustDoMeter) Pool() *nvm.Pool { return m.pool }
-
-// Run implements txn.Engine: execute with per-store JUSTDO accounting.
-func (m *JustDoMeter) Run(slot int, name string, args *txn.Args) error {
-	fn, err := m.reg.Lookup(name)
-	if err != nil {
-		return err
-	}
-	if err := txn.CheckSlot(slot); err != nil {
-		return err
-	}
-	if args == nil {
-		args = txn.NoArgs
-	}
-	sp := m.probe.Start(slot, name)
-	sp.BeginDone(0)
-	if err := fn(&justdoMem{m: m}, args); err != nil {
-		sp.Aborted()
-		return err
-	}
-	sp.ExecDone()
-	m.stats.Committed.Add(1)
-	sp.Committed(false)
-	return nil
-}
-
-// RunRO implements txn.Engine. JUSTDO forbids volatile data during FASEs
-// but reads of persistent state are direct.
-func (m *JustDoMeter) RunRO(slot int, fn txn.ROFunc) error {
-	if err := txn.CheckSlot(slot); err != nil {
-		return err
-	}
-	return fn(justdoROMem{m.pool})
-}
-
-// Recover implements txn.Engine (accounting instrument: no-op).
-func (m *JustDoMeter) Recover() (int, error) { return 0, nil }
-
-// RecoverReport implements txn.RecoveryReporter: meters keep no persistent
-// logs, so there is never anything to recover or quarantine.
-func (m *JustDoMeter) RecoverReport() (txn.RecoveryReport, error) {
-	return txn.RecoveryReport{}, nil
-}
-
 // justdoMem charges one persisted record — flush + fence — per store.
-type justdoMem struct{ m *JustDoMeter }
+type justdoMem struct {
+	m     *JustDoMeter
+	alloc *pmem.Allocator
+}
 
-var _ txn.Mem = justdoMem{}
+var _ chassis.Mem = justdoMem{}
 
-func (j justdoMem) Load(addr uint64, buf []byte) { j.m.pool.Load(addr, buf) }
-func (j justdoMem) Load64(addr uint64) uint64    { return j.m.pool.Load64(addr) }
+func (j justdoMem) Begin(string, *txn.Args) error { return nil }
+func (j justdoMem) Abort(err error) error         { return err }
+func (j justdoMem) Commit()                       {}
+
+func (j justdoMem) Load(addr uint64, buf []byte) { j.m.Pool().Load(addr, buf) }
+func (j justdoMem) Load64(addr uint64) uint64    { return j.m.Pool().Load64(addr) }
 
 func (j justdoMem) preStore(addr, n uint64) {
 	if n == 0 {
@@ -113,37 +55,24 @@ func (j justdoMem) preStore(addr, n uint64) {
 	// One record per stored word: JUSTDO's log granularity is the
 	// individual store instruction.
 	words := int64((n + 7) / 8)
-	j.m.stats.LogEntries.Add(words)
-	j.m.stats.LogBytes.Add(words * JustDoRecordBytes)
+	j.m.Stats().LogEntries.Add(words)
+	j.m.Stats().LogBytes.Add(words * JustDoRecordBytes)
 	// The record must be durable before the store executes.
 	for i := int64(0); i < words; i++ {
-		j.m.pool.Flush(addr, 8)
-		j.m.pool.CommitFence()
+		j.m.Pool().Flush(addr, 8)
+		j.m.Pool().CommitFence()
 	}
 }
 
 func (j justdoMem) Store(addr uint64, data []byte) {
 	j.preStore(addr, uint64(len(data)))
-	j.m.pool.Store(addr, data)
+	j.m.Pool().Store(addr, data)
 }
 
 func (j justdoMem) Store64(addr uint64, v uint64) {
 	j.preStore(addr, 8)
-	j.m.pool.Store64(addr, v)
+	j.m.Pool().Store64(addr, v)
 }
 
-func (j justdoMem) Alloc(size uint64) (txn.Addr, error) { return j.m.alloc.Alloc(0, size) }
-func (j justdoMem) Free(addr txn.Addr) error            { return j.m.alloc.Free(addr) }
-
-type justdoROMem struct{ pool *nvm.Pool }
-
-var _ txn.Mem = justdoROMem{}
-
-func (r justdoROMem) Load(addr uint64, buf []byte)   { r.pool.Load(addr, buf) }
-func (r justdoROMem) Load64(addr uint64) uint64      { return r.pool.Load64(addr) }
-func (r justdoROMem) Store(addr uint64, data []byte) { panic("justdo: store in read-only op") }
-func (r justdoROMem) Store64(addr uint64, v uint64)  { panic("justdo: store in read-only op") }
-func (r justdoROMem) Alloc(size uint64) (txn.Addr, error) {
-	return 0, errors.New("justdo: alloc in read-only op")
-}
-func (r justdoROMem) Free(addr txn.Addr) error { return errors.New("justdo: free in read-only op") }
+func (j justdoMem) Alloc(size uint64) (txn.Addr, error) { return j.alloc.Alloc(0, size) }
+func (j justdoMem) Free(addr txn.Addr) error            { return j.alloc.Free(addr) }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/clobber"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pds"
@@ -150,7 +151,7 @@ func lfMap(t *testing.T) *pds.LFHashMap {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := clobber.Create(pool, alloc, clobber.Options{Slots: 16})
+	eng, err := clobber.Create(pool, alloc, clobber.Options{Options: chassis.Options{Slots: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}

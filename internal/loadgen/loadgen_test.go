@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/clobber"
 	"clobbernvm/internal/memcache"
 	"clobbernvm/internal/nvm"
@@ -21,7 +22,7 @@ func newServer(t *testing.T, opts memcache.Options) (*memcache.Server, *memcache
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := clobber.Create(pool, alloc, clobber.Options{Slots: 8})
+	eng, err := clobber.Create(pool, alloc, clobber.Options{Options: chassis.Options{Slots: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/clobber"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pds"
@@ -20,7 +21,7 @@ func newCacheOn(t *testing.T, pool *nvm.Pool, opts Options) *Cache {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := clobber.Create(pool, alloc, clobber.Options{Slots: 8})
+	eng, err := clobber.Create(pool, alloc, clobber.Options{Options: chassis.Options{Slots: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +362,7 @@ func newSupervisedWith(t *testing.T, opts Options) *Supervisor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := clobber.Create(pool, alloc, clobber.Options{Slots: 8})
+	eng, err := clobber.Create(pool, alloc, clobber.Options{Options: chassis.Options{Slots: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/clobber"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pds"
@@ -24,7 +25,7 @@ func newCache(t *testing.T, opts Options) (*nvm.Pool, *Cache) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := clobber.Create(pool, alloc, clobber.Options{Slots: 8})
+	eng, err := clobber.Create(pool, alloc, clobber.Options{Options: chassis.Options{Slots: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestCrashRecoveryMidSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := clobber.Create(pool, alloc, clobber.Options{Slots: 4})
+		eng, err := clobber.Create(pool, alloc, clobber.Options{Options: chassis.Options{Slots: 4}})
 		if err != nil {
 			t.Fatal(err)
 		}

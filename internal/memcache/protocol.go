@@ -82,6 +82,8 @@ func (s *Session) Serve() error {
 		switch fields[0] {
 		case "quit":
 			return nil
+		case "version":
+			s.reply("VERSION clobbernvm")
 		case "stats":
 			if err := s.handleStats(); err != nil {
 				return err

@@ -191,7 +191,10 @@ func (s *Server) acceptLoop() {
 
 // Close stops accepting, lets in-flight sessions drain for the configured
 // drain window, then force-closes the remaining connections and waits for
-// their handlers to exit. Safe to call more than once.
+// their handlers to exit. Safe to call more than once. The drain covers
+// sessions only: a connection not yet accepted when Close begins — still in
+// the kernel's accept queue, or returned by Accept as the listener closes —
+// is refused, and its client sees a reset.
 func (s *Server) Close() error {
 	s.closing.Do(func() {
 		close(s.done)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/clobber"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pds"
@@ -23,7 +24,7 @@ func newSupervised(t *testing.T) (*Supervisor, *nvm.Pool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := clobber.Create(pool, alloc, clobber.Options{Slots: 8})
+	eng, err := clobber.Create(pool, alloc, clobber.Options{Options: chassis.Options{Slots: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

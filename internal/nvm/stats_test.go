@@ -48,11 +48,11 @@ func TestLineStoresCounter(t *testing.T) {
 	p.ResetStats()
 	base := uint64(HeaderSize) // HeaderSize is line-aligned
 	line := make([]byte, LineSize)
-	p.Store(base, line)                      // 1 line
+	p.Store(base, line)                              // 1 line
 	p.Store(base+LineSize, make([]byte, 3*LineSize)) // 3 lines
-	p.Store(base+8, line)                    // misaligned: not counted
-	p.Store(base, line[:LineSize-8])         // partial: not counted
-	p.Store64(base, 7)                       // word store: not counted
+	p.Store(base+8, line)                            // misaligned: not counted
+	p.Store(base, line[:LineSize-8])                 // partial: not counted
+	p.Store64(base, 7)                               // word store: not counted
 	if got := p.Stats().LineStores; got != 4 {
 		t.Fatalf("LineStores = %d, want 4", got)
 	}

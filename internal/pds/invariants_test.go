@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/clobber"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pmem"
@@ -158,7 +159,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng, err := clobber.Create(pool, alloc, clobber.Options{Slots: 2})
+			eng, err := clobber.Create(pool, alloc, clobber.Options{Options: chassis.Options{Slots: 2}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,7 +207,7 @@ func TestCheckInvariantsAllStructuresClean(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng, err := clobber.Create(pool, alloc, clobber.Options{Slots: 2})
+			eng, err := clobber.Create(pool, alloc, clobber.Options{Options: chassis.Options{Slots: 2}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/clobber"
 	"clobbernvm/internal/ido"
 	"clobbernvm/internal/nvm"
@@ -24,7 +25,7 @@ func lfSetup(t *testing.T, lineLog bool, opts ...nvm.Option) (*nvm.Pool, *LFHash
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := clobber.Create(pool, alloc, clobber.Options{Slots: 8, LineLog: lineLog})
+	eng, err := clobber.Create(pool, alloc, clobber.Options{Options: chassis.Options{Slots: 8, LineLog: lineLog}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"clobbernvm/internal/atlas"
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/clobber"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pmem"
@@ -28,7 +29,7 @@ var engineFactories = []engineFactory{
 	{
 		name: "clobber",
 		create: func(p *nvm.Pool, a *pmem.Allocator) (Engine, error) {
-			return clobber.Create(p, a, clobber.Options{Slots: 8})
+			return clobber.Create(p, a, clobber.Options{Options: chassis.Options{Slots: 8}})
 		},
 		attach: func(p *nvm.Pool, a *pmem.Allocator) (Engine, error) {
 			return clobber.Attach(p, a, clobber.Options{})
@@ -178,7 +179,7 @@ func TestStoreParallelInserts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng, err := clobber.Create(pool, alloc, clobber.Options{Slots: 8})
+			eng, err := clobber.Create(pool, alloc, clobber.Options{Options: chassis.Options{Slots: 8}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -348,7 +349,7 @@ func runCrashTrial(t *testing.T, ef engineFactory, sf storeFactory, seed int64) 
 func TestBPTreeSplitChain(t *testing.T) {
 	pool := nvm.New(1 << 26)
 	alloc, _ := pmem.Create(pool)
-	eng, err := clobber.Create(pool, alloc, clobber.Options{Slots: 2})
+	eng, err := clobber.Create(pool, alloc, clobber.Options{Options: chassis.Options{Slots: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

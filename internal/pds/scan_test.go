@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/clobber"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pmem"
@@ -26,7 +27,7 @@ func newRangerStore(t *testing.T, sf storeFactory) Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := clobber.Create(pool, alloc, clobber.Options{Slots: 2})
+	eng, err := clobber.Create(pool, alloc, clobber.Options{Options: chassis.Options{Slots: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestQuickHashMapMatchesModel(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		eng, err := clobber.Create(pool, alloc, clobber.Options{Slots: 2})
+		eng, err := clobber.Create(pool, alloc, clobber.Options{Options: chassis.Options{Slots: 2}})
 		if err != nil {
 			return false
 		}

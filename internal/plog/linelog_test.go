@@ -22,12 +22,12 @@ func TestLineLogAppendScan(t *testing.T) {
 
 	l.Reset()
 	payloads := [][]byte{
-		[]byte("old-value-a"),        // small, pads to 2 words
-		[]byte("b"),                  // tiny
-		make([]byte, 200),            // multi-line, straddles 4+ lines
-		[]byte("exactly-8"),          // 9 bytes
-		make([]byte, lineDataBytes),  // one header word + 7 payload words: > 1 line
-		{},                           // empty payload
+		[]byte("old-value-a"),       // small, pads to 2 words
+		[]byte("b"),                 // tiny
+		make([]byte, 200),           // multi-line, straddles 4+ lines
+		[]byte("exactly-8"),         // 9 bytes
+		make([]byte, lineDataBytes), // one header word + 7 payload words: > 1 line
+		{},                          // empty payload
 	}
 	for i := range payloads[2] {
 		payloads[2][i] = byte(i * 7)
@@ -587,9 +587,9 @@ func TestScanStrictTornEntryOverlapNoFalseCorruption(t *testing.T) {
 	// not, leaving C's stale-but-valid image at offset 72 inside the torn
 	// payload region.
 	at := base + 16 + 40
-	p.Store64(at, 7)       // seq
-	p.Store64(at+8, 0xB0)  // addr
-	p.Store64(at+16, 56)   // len (low word), pad zero
+	p.Store64(at, 7)      // seq
+	p.Store64(at+8, 0xB0) // addr
+	p.Store64(at+16, 56)  // len (low word), pad zero
 	p.Persist(at, 24)
 	p.Crash()
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/clobber"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pds"
@@ -28,7 +29,7 @@ func newTestShard(t *testing.T) (*Shard, pds.Store) {
 	if err != nil {
 		t.Fatalf("pmem.Create: %v", err)
 	}
-	eng, err := clobber.Create(pool, alloc, clobber.Options{Slots: testSlots, DataLogCap: testDataCap})
+	eng, err := clobber.Create(pool, alloc, clobber.Options{Options: chassis.Options{Slots: testSlots, DataLogCap: testDataCap}})
 	if err != nil {
 		t.Fatalf("clobber.Create: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/clobber"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pds"
@@ -20,7 +21,7 @@ func newManager(t *testing.T, kind TreeKind) (*nvm.Pool, *Manager) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := clobber.Create(pool, alloc, clobber.Options{Slots: 8})
+	eng, err := clobber.Create(pool, alloc, clobber.Options{Options: chassis.Options{Slots: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestCrashDuringReservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := clobber.Create(pool, alloc, clobber.Options{Slots: 4})
+		eng, err := clobber.Create(pool, alloc, clobber.Options{Options: chassis.Options{Slots: 4}})
 		if err != nil {
 			t.Fatal(err)
 		}

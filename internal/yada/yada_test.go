@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"clobbernvm/internal/chassis"
 	"clobbernvm/internal/clobber"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pmem"
@@ -57,7 +58,7 @@ func newMesh(t *testing.T, maxPts int) (*nvm.Pool, *Mesh) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := clobber.Create(pool, alloc, clobber.Options{Slots: 4, DataLogCap: 1 << 22})
+	eng, err := clobber.Create(pool, alloc, clobber.Options{Options: chassis.Options{Slots: 4, DataLogCap: 1 << 22}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestCrashDuringRefinement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := clobber.Create(pool, alloc, clobber.Options{Slots: 4, DataLogCap: 1 << 22})
+		eng, err := clobber.Create(pool, alloc, clobber.Options{Options: chassis.Options{Slots: 4, DataLogCap: 1 << 22}})
 		if err != nil {
 			t.Fatal(err)
 		}
