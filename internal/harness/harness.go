@@ -146,9 +146,10 @@ func (sc Scale) maxSlots() int {
 	return slots + 2
 }
 
-// NewSetup provisions a pool, allocator and engine of the given kind. The
-// pool is prefaulted so OS page faults never land inside measured regions,
-// and runs in fast mode: benchmarks never arm crash points, so the pool
+// NewSetup provisions a pool, allocator and engine of the given kind. It
+// calls Prefault, which does nothing (see nvm.Pool.Prefault): the pool's
+// pages fault in on first touch, inside setup or the measured region. The
+// pool runs in fast mode: benchmarks never arm crash points, so the pool
 // skips per-event persist-point accounting. Crash experiments re-arm
 // precise mode automatically via ScheduleCrashAt/ResetPersistPoints.
 func NewSetup(kind EngineKind, sc Scale) (*Setup, error) {

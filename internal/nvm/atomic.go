@@ -9,12 +9,12 @@ import (
 //
 // CAS64 and AtomicLoad64 give a structure the x86 lock cmpxchg / aligned
 // 8-byte load pair the simulated cache model otherwise lacks. Both take the
-// covering line-group shard mutex — the same lock Store and the flush paths
-// use for their byte copies — so an atomic op, a neighbouring object's
-// partial-line store and a concurrent flush of the same line can never
-// interleave mid-word, and the Go race detector observes a proper
-// happens-before edge between a successful CAS publishing a pointer and the
-// AtomicLoad64 that reads it.
+// covering line-group shard mutex — the same lock a precise-mode Store takes
+// for its byte copy and pre-image, and the flush paths take to drop it — so
+// an atomic op, a neighbouring object's partial-line store and a concurrent
+// flush of the same line can never interleave mid-word, and the Go race
+// detector observes a proper happens-before edge between a successful CAS
+// publishing a pointer and the AtomicLoad64 that reads it.
 //
 // A successful CAS64 is a store in every persistence sense: the line becomes
 // dirty (NOT durable until flushed and fenced), the store counters advance,
@@ -40,14 +40,19 @@ func (p *Pool) CAS64(addr, old, new uint64) bool {
 		panic(ErrCrash) // see Store: refuse post-failure writes entirely
 	}
 	l := addr / LineSize
-	w := l >> 6
-	mu := &p.dirtyMu[w&(dirtyShards-1)].mu
-	mu.Lock()
+	w, bit := l>>6, uint64(1)<<(l&63)
+	s := &p.shards[w&(dirtyShards-1)]
+	s.mu.Lock()
 	swapped := binary.LittleEndian.Uint64(p.mem[addr:]) == old
 	if swapped {
+		if p.fast.Load() {
+			p.dirtyBits[w].Or(bit)
+		} else {
+			p.markDirty(s, w, bit)
+		}
 		binary.LittleEndian.PutUint64(p.mem[addr:], new)
 	}
-	mu.Unlock()
+	s.mu.Unlock()
 	h := &p.stats.hot[stripeOf(addr)]
 	if !swapped {
 		h.loads.Add(1)
@@ -56,7 +61,6 @@ func (p *Pool) CAS64(addr, old, new uint64) bool {
 	}
 	h.stores.Add(1)
 	h.bytesStored.Add(8)
-	p.dirtyBits[w].Or(uint64(1) << (l & 63))
 	if !p.fast.Load() {
 		p.tick(CrashAtStore)
 	}
@@ -71,10 +75,10 @@ func (p *Pool) AtomicLoad64(addr uint64) uint64 {
 	p.check(addr, 8)
 	p.mustWordAligned(addr)
 	l := addr / LineSize
-	mu := &p.dirtyMu[(l>>6)&(dirtyShards-1)].mu
-	mu.Lock()
+	s := &p.shards[(l>>6)&(dirtyShards-1)]
+	s.mu.Lock()
 	v := binary.LittleEndian.Uint64(p.mem[addr:])
-	mu.Unlock()
+	s.mu.Unlock()
 	h := &p.stats.hot[stripeOf(addr)]
 	h.loads.Add(1)
 	h.bytesLoaded.Add(8)

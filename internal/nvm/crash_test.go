@@ -421,9 +421,9 @@ func TestNewFromImageFreshLatch(t *testing.T) {
 }
 
 // TestPrefaultPreservesContents guards the benchmark warm-up against data
-// loss: Prefault must touch every page without altering either view — the
-// header magic lives on page zero, and a pool rebuilt from a durable image
-// carries live data on every page.
+// loss: whatever Prefault does to pages, it must not alter either view —
+// the header magic lives on page zero, and a pool rebuilt from a durable
+// image carries live data on every page.
 func TestPrefaultPreservesContents(t *testing.T) {
 	p := New(1 << 20)
 	const stride = 4096

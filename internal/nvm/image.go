@@ -6,14 +6,18 @@ import (
 	"os"
 )
 
-// SaveImage writes the durable (media) view of the pool to path. Only
+// SaveImage writes the durable view of the pool to path. Only
 // flushed-and-fenced data is included, exactly as a DAX-mapped pool file
 // would contain after a power loss. The caller must quiesce the pool first.
 func (p *Pool) SaveImage(path string) error {
 	if p.FastPath() {
-		p.syncMedia()
+		p.clearTracking()
 	}
-	if err := os.WriteFile(path, p.media, 0o644); err != nil {
+	img := p.mem
+	if p.preImages() > 0 {
+		img = p.Snapshot()
+	}
+	if err := os.WriteFile(path, img, 0o644); err != nil {
 		return fmt.Errorf("nvm: save image: %w", err)
 	}
 	return nil
@@ -30,14 +34,16 @@ func validateImage(data []byte) error {
 	return nil
 }
 
-// Snapshot returns a copy of the durable (media) view — the image a crash
-// sweep restores between fault injections. The caller must quiesce the pool.
+// Snapshot returns a copy of the durable view — the coherent view with
+// every dirty line's pre-image laid over it, the image a crash sweep
+// restores between fault injections. The caller must quiesce the pool.
 func (p *Pool) Snapshot() []byte {
 	if p.FastPath() {
-		p.syncMedia()
+		p.clearTracking()
 	}
-	img := make([]byte, len(p.media))
-	copy(img, p.media)
+	img := make([]byte, len(p.mem))
+	copy(img, p.mem)
+	p.overlayPreImages(img)
 	return img
 }
 
@@ -64,7 +70,6 @@ func (p *Pool) Restore(img []byte) error {
 	if uint64(len(img)) != p.Size() {
 		return fmt.Errorf("nvm: restore: image is %d bytes, pool is %d", len(img), p.Size())
 	}
-	copy(p.media, img)
 	copy(p.mem, img)
 	p.clearTracking()
 	p.crashAt.Store(0)
@@ -80,7 +85,6 @@ func NewFromImage(data []byte, opts ...Option) (*Pool, error) {
 		return nil, err
 	}
 	p := New(uint64(len(data)), opts...)
-	copy(p.media, data)
 	copy(p.mem, data)
 	return p, nil
 }

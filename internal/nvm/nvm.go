@@ -12,15 +12,17 @@
 // uncontrolled eviction order and 8-byte persistence atomicity of real
 // caches.
 //
-// The pool keeps two images:
+// The pool keeps one array, mem: the coherent view every CPU sees. Under a
+// write-back cache the durable view differs from it only in the dirty lines,
+// so for each line a precise-mode store moves from clean to dirty the pool
+// also keeps the line's 64-byte pre-image — its durable contents. The
+// durable view is mem with every pre-image laid over it.
 //
-//   - mem:   the coherent view every CPU sees (cache ∪ media),
-//   - media: the durable view that survives Crash.
-//
-// Flush copies lines from mem to media immediately. FlushOpt only marks
-// lines flush-pending; they reach the media at the next Fence. Crash applies
-// the configured EvictPolicy to the remaining dirty lines and then resets
-// mem to media.
+// Flush makes lines durable immediately, dropping their pre-images.
+// FlushOpt only marks lines flush-pending; they become durable at the next
+// Fence. Crash applies the configured EvictPolicy to the remaining dirty
+// lines by putting back none, all or a word suffix of each pre-image, so it
+// costs time in the dirty lines, not the pool size.
 //
 // The pool also carries the cost model: Flush and Fence spin for a
 // configurable simulated latency so that benchmark wall-clock times reflect
@@ -34,17 +36,18 @@
 // event: it ticks the crash-injection counters so an exhaustive sweep can
 // enumerate and target every point. In fast mode (SetFastPath(true)) the
 // per-event tick is skipped, multi-line operations batch their counter
-// updates, and — because the durable (media) view can only be observed at a
-// quiescent point — all mem→media copying is deferred: stores update the
-// coherent view lock-free, flushes and fences only accrue latency debt, and
-// the media is brought up to date in one pass when the pool leaves fast
-// mode (or is snapshotted/saved). The deferred sync conservatively treats
-// every written line as having reached the media, which is indistinguishable
-// from a run with no crash in it — exactly the regime fast mode is for.
-// Arming a crash (ScheduleCrashAt), resetting the persist-point counters
-// (ResetPersistPoints) or restoring an image (Restore) forces the pool back
-// to precise mode — syncing the media first — so fault injection can never
-// silently run over the uncounted path. Switching modes requires external
+// updates, and — because the durable view can only be observed at a
+// quiescent point — durability is deferred: stores update the coherent view
+// lock-free and keep no pre-images, flushes and fences only accrue latency
+// debt, and the durable view is settled when the pool leaves fast mode (or
+// is crashed, snapshotted or saved) by forgetting every tracked line. That
+// conservatively treats every written line as having reached the media,
+// which is indistinguishable from a run with no crash in it — exactly the
+// regime fast mode is for. Arming a crash (ScheduleCrashAt), resetting the
+// persist-point counters (ResetPersistPoints) or restoring an image
+// (Restore) forces the pool back to precise mode — settling the durable
+// view first — so fault injection can never silently run over the
+// uncounted path. Switching modes requires external
 // quiescence, like Crash and Snapshot.
 package nvm
 
@@ -85,17 +88,21 @@ var ErrCrash = errors.New("nvm: simulated power failure")
 // ErrOutOfRange reports an access outside the pool.
 var ErrOutOfRange = errors.New("nvm: address out of range")
 
-// dirtyShards is the number of line-group mutexes serializing mem↔media
-// copies against partial-line stores. The shard granule is one bitmap word
-// (64 lines = 4 KiB), so a multi-line store or flush takes one lock per
-// group rather than one per line.
+// dirtyShards is the number of line-group shards serializing precise-mode
+// stores against flushes and drains of the same lines. The shard granule is
+// one bitmap word (64 lines = 4 KiB), so a multi-line store or flush takes
+// one lock per group rather than one per line.
 const dirtyShards = 64
 
-// shardMutex pads each shard lock to its own cache line so unrelated shards
-// do not false-share under multi-threaded stores.
-type shardMutex struct {
+// lineShard is one line-group lock plus the pre-images of the dirty lines
+// it covers, padded to its own cache line so unrelated shards do not
+// false-share under multi-threaded stores.
+type lineShard struct {
 	mu sync.Mutex
-	_  [64 - 8]byte
+	// pre maps a dirty line to its durable bytes. Written only under mu,
+	// and only by precise-mode stores; nil while the shard holds none.
+	pre map[uint64][LineSize]byte
+	_   [64 - 16]byte
 }
 
 // Pool is a simulated NVM region plus its cache model.
@@ -107,18 +114,21 @@ type shardMutex struct {
 // strict two-phase locking model). Crash, Snapshot, Restore and SaveImage
 // require external quiescence.
 type Pool struct {
-	mem   []byte // coherent CPU view
-	media []byte // durable view
+	// mem is the coherent CPU view; the durable view is mem with the
+	// shards' pre-images laid over it.
+	mem []byte
 
 	// Dirty/pending line tracking. A set bit in dirtyBits means the line
-	// differs (or may differ) from the media; a set bit in pendingBits
-	// means the line was issued via FlushOpt and becomes durable at the
-	// next Fence. Bit l&63 of word l>>6 covers line l. The word-granular
-	// shard mutexes serialize the byte copies (partial-line stores vs.
-	// whole-line flush reads); set-membership itself is lock-free.
+	// differs (or may differ) from its durable contents; a set bit in
+	// pendingBits means the line was issued via FlushOpt and becomes
+	// durable at the next Fence. Bit l&63 of word l>>6 covers line l. In
+	// precise mode a line's dirty bit changes only under its shard lock,
+	// together with its pre-image, so under that lock a line is dirty
+	// exactly when its shard holds a pre-image for it. Fast mode sets
+	// dirty bits lock-free and keeps no pre-images.
 	dirtyBits    []atomic.Uint64
 	pendingBits  []atomic.Uint64
-	dirtyMu      [dirtyShards]shardMutex
+	shards       [dirtyShards]lineShard
 	pendingCount atomic.Int64
 
 	// pendWords lists bitmap word indexes that (may) hold pending bits, so
@@ -219,7 +229,6 @@ func New(size uint64, opts ...Option) *Pool {
 	words := (size/LineSize + 63) / 64
 	p := &Pool{
 		mem:         make([]byte, size),
-		media:       make([]byte, size),
 		evictProb:   0.5,
 		rng:         rand.New(rand.NewSource(1)),
 		dirtyBits:   make([]atomic.Uint64, words),
@@ -231,29 +240,20 @@ func New(size uint64, opts ...Option) *Pool {
 		o(p)
 	}
 	binary.LittleEndian.PutUint64(p.mem[magicOffset:], poolMagic)
-	copy(p.media, p.mem[:HeaderSize])
 	return p
 }
 
 // Size returns the pool size in bytes.
 func (p *Pool) Size() uint64 { return uint64(len(p.mem)) }
 
-// Prefault touches every page of both pool images so that operating-system
-// page faults land here rather than inside a measured region. Benchmark
-// setups call this before starting timers. The touch is a write of the
-// byte's own value — a write is what forces a private copy-on-write page,
-// but it must not alter contents: the header magic lives in page zero, and
-// a pool rebuilt from a durable image (nvm.NewFromImage) is prefaulted with
-// live data on every page.
-func (p *Pool) Prefault() {
-	const page = 4096
-	for i := 0; i < len(p.mem); i += page {
-		v := p.mem[i]
-		p.mem[i] = v
-		v = p.media[i]
-		p.media[i] = v
-	}
-}
+// Prefault does nothing: the pool's pages fault in on first touch, inside
+// whatever touches them first, measured or not. Setups call it before
+// starting timers, as the one place that would make pages resident.
+// Touching them for real (a store of a just-loaded byte does not: the
+// compiler removes it) would make a whole pool resident up front, 512 MiB
+// for the served pool, so it changes every setup's resident set and needs
+// its own measurement.
+func (p *Pool) Prefault() {}
 
 // HeapBase returns the first address usable by an allocator.
 func (p *Pool) HeapBase() uint64 { return HeaderSize }
@@ -274,7 +274,7 @@ func (p *Pool) RootSlot(i int) uint64 {
 // quiesce the pool around the switch.
 func (p *Pool) SetFastPath(on bool) {
 	if !on && p.fast.Swap(false) {
-		p.syncMedia()
+		p.clearTracking()
 		return
 	}
 	p.fast.Store(on)
@@ -317,9 +317,10 @@ func (p *Pool) Load64(addr uint64) uint64 {
 // fenced). If a crash has been scheduled and this store reaches the crash
 // ordinal, Store panics with ErrCrash after applying the write.
 //
-// The write is applied under the covering line-group locks so that a
+// In precise mode the write is applied under the covering line-group locks,
+// after the pre-image of every line it turns dirty is kept, so that a
 // concurrent Flush of the same line (by another thread persisting its own
-// neighbouring object) can never copy a torn 8-byte value to the media.
+// neighbouring object) can never make a torn 8-byte value durable.
 func (p *Pool) Store(addr uint64, data []byte) {
 	p.check(addr, uint64(len(data)))
 	if p.crashed.Load() {
@@ -351,16 +352,15 @@ func (p *Pool) Store(addr uint64, data []byte) {
 // storeBytes copies data into the coherent view and marks the covered lines
 // dirty. Lines are handled one bitmap word (64 lines) at a time: a single
 // lock acquisition and a single atomic Or cover every line the write touches
-// within the group — the write-combining that replaces the old per-line
-// mutex-sharded map insert.
+// within the group.
 func (p *Pool) storeBytes(addr uint64, data []byte) {
 	n := uint64(len(data))
 	first, last := addr/LineSize, (addr+n-1)/LineSize
 	if p.fast.Load() {
-		// Fast mode defers all mem→media copying to the next sync point, so
-		// no flush or drain can read these bytes concurrently and the copy
-		// needs no lock. Dirty bits still accumulate so the sync knows what
-		// to write back.
+		// Fast mode defers durability until the durable view is settled,
+		// so no flush or drain touches these lines concurrently and the
+		// copy needs no lock and keeps no pre-image. Dirty bits still
+		// accumulate for DirtyLines.
 		copy(p.mem[addr:addr+n], data)
 		for w := first >> 6; w <= last>>6; w++ {
 			loLine, hiLine := max(w<<6, first), min(w<<6|63, last)
@@ -383,11 +383,39 @@ func (p *Pool) storeBytes(addr uint64, data []byte) {
 		if hi > addr+n {
 			hi = addr + n
 		}
-		mu := &p.dirtyMu[w&(dirtyShards-1)].mu
-		mu.Lock()
+		s := &p.shards[w&(dirtyShards-1)]
+		s.mu.Lock()
+		p.markDirty(s, w, onesRange(loLine&63, hiLine&63))
 		copy(p.mem[lo:hi], data[lo-addr:hi-addr])
-		mu.Unlock()
-		p.dirtyBits[w].Or(onesRange(loLine&63, hiLine&63))
+		s.mu.Unlock()
+	}
+}
+
+// markDirty marks the lines of mask in bitmap word w dirty, first keeping
+// the current bytes of each line that was clean as its pre-image. The
+// caller holds the word's shard lock and calls it before changing the
+// bytes; precise mode only.
+func (p *Pool) markDirty(s *lineShard, w, mask uint64) {
+	clean := mask &^ p.dirtyBits[w].Load()
+	if clean == 0 {
+		return
+	}
+	if s.pre == nil {
+		s.pre = make(map[uint64][LineSize]byte)
+	}
+	for m := clean; m != 0; m &= m - 1 {
+		l := w<<6 | uint64(bits.TrailingZeros64(m))
+		s.pre[l] = [LineSize]byte(p.mem[l*LineSize:])
+	}
+	p.dirtyBits[w].Or(clean)
+}
+
+// markClean marks the lines of mask in bitmap word w clean: their coherent
+// bytes are now durable, so their pre-images are dropped. The caller holds
+// the word's shard lock.
+func (p *Pool) markClean(s *lineShard, w, mask uint64) {
+	for m := mask & p.dirtyBits[w].And(^mask); m != 0; m &= m - 1 {
+		delete(s.pre, w<<6|uint64(bits.TrailingZeros64(m)))
 	}
 }
 
@@ -407,11 +435,11 @@ func (p *Pool) Store64(addr uint64, v uint64) {
 			p.dirtyBits[w].Or(uint64(1) << (l & 63))
 			return
 		}
-		mu := &p.dirtyMu[w&(dirtyShards-1)].mu
-		mu.Lock()
+		s := &p.shards[w&(dirtyShards-1)]
+		s.mu.Lock()
+		p.markDirty(s, w, uint64(1)<<(l&63))
 		binary.LittleEndian.PutUint64(p.mem[addr:], v)
-		mu.Unlock()
-		p.dirtyBits[w].Or(uint64(1) << (l & 63))
+		s.mu.Unlock()
 	} else {
 		var buf [8]byte
 		binary.LittleEndian.PutUint64(buf[:], v)
@@ -539,7 +567,7 @@ func (p *Pool) PersistPoints(kind CrashKind) int64 {
 // forces the pool into precise mode so subsequent events are counted.
 func (p *Pool) ResetPersistPoints() {
 	if p.fast.Swap(false) {
-		p.syncMedia()
+		p.clearTracking()
 	}
 	p.latDebt.Store(0)
 	p.storeEvents.Store(0)
@@ -561,8 +589,8 @@ func (p *Pool) Flush(addr, n uint64) {
 	k := int64(last - first + 1)
 	h := &p.stats.hot[stripeOf(addr)]
 	if p.fast.Load() {
-		// Deferred-media mode: the lines stay dirty and reach the media at
-		// the next sync point; only the latency is modelled here.
+		// Deferred-media mode: the lines stay dirty until the durable view
+		// is settled; only the latency is modelled here.
 		h.flushes.Add(k)
 		p.latDebt.Add(int64(p.lat.FlushNS) * k)
 	} else {
@@ -575,20 +603,18 @@ func (p *Pool) Flush(addr, n uint64) {
 }
 
 // flushLinePrecise persists one line with exact event accounting: the tick
-// fires before the media copy, so a crash landing on this flush means the
-// line did NOT reach the media.
+// fires before the line is made durable, so a crash landing on this flush
+// means the line did NOT reach the media.
 func (p *Pool) flushLinePrecise(l uint64) {
 	p.tick(CrashAtFlush)
 	w, bit := l>>6, uint64(1)<<(l&63)
 	if old := p.pendingBits[w].And(^bit); old&bit != 0 {
 		p.pendingCount.Add(-1)
 	}
-	off := l * LineSize
-	mu := &p.dirtyMu[w&(dirtyShards-1)].mu
-	mu.Lock()
-	copy(p.media[off:off+LineSize], p.mem[off:off+LineSize])
-	mu.Unlock()
-	p.dirtyBits[w].And(^bit)
+	s := &p.shards[w&(dirtyShards-1)]
+	s.mu.Lock()
+	p.markClean(s, w, bit)
+	s.mu.Unlock()
 }
 
 // FlushOpt is the weakly ordered flush variant (clflushopt/clwb): it only
@@ -607,7 +633,8 @@ func (p *Pool) FlushOpt(addr, n uint64) {
 	h := &p.stats.hot[stripeOf(addr)]
 	if p.fast.Load() {
 		// Deferred-media mode: weak and strong flushes converge — the lines
-		// stay dirty until the next sync point and only latency is modelled.
+		// stay dirty until the durable view is settled and only latency is
+		// modelled.
 		h.flushes.Add(k)
 		h.flushOpts.Add(k)
 		p.latDebt.Add(int64(p.lat.FlushNS) * k)
@@ -681,7 +708,7 @@ func (p *Pool) markPending(w, mask uint64) {
 }
 
 // Fence orders preceding flushes before subsequent stores (sfence): every
-// line issued via FlushOpt since the previous fence drains to the media, and
+// line issued via FlushOpt since the previous fence becomes durable, and
 // the fence latency is paid. A crash landing on the fence itself happens
 // before the drain — the pending lines are still at the hardware's mercy.
 func (p *Pool) Fence() {
@@ -697,8 +724,8 @@ func (p *Pool) Fence() {
 		spin(p.lat.FenceNS)
 		return
 	}
-	// Deferred-media mode: durability is settled at the next sync point, so
-	// the fence only pays (possibly accrued) latency.
+	// Deferred-media mode: durability is settled when the pool leaves fast
+	// mode, so the fence only pays (possibly accrued) latency.
 	p.latDebt.Add(int64(p.lat.FenceNS))
 	p.payLatency()
 }
@@ -721,7 +748,7 @@ func (p *Pool) payLatency() {
 	}
 }
 
-// drainPending copies every pending line to the media. Concurrent drains are
+// drainPending makes every pending line durable. Concurrent drains are
 // serialized by drainMu so the two word-list buffers can be recycled without
 // per-fence allocation.
 func (p *Pool) drainPending() {
@@ -735,53 +762,16 @@ func (p *Pool) drainPending() {
 		if p.pendingBits[w].Load() == 0 {
 			continue
 		}
-		mu := &p.dirtyMu[uint64(w)&(dirtyShards-1)].mu
-		mu.Lock()
+		s := &p.shards[uint64(w)&(dirtyShards-1)]
+		s.mu.Lock()
 		m := p.pendingBits[w].Swap(0)
-		// Copy maximal runs of consecutive pending lines in one go: staged
-		// v_log entries and batched log appends pend contiguous lines, so
-		// runs are the common case.
-		for mm := m; mm != 0; {
-			lo := uint64(bits.TrailingZeros64(mm))
-			run := uint64(bits.TrailingZeros64(^(mm >> lo)))
-			start := (uint64(w)<<6 | lo) * LineSize
-			end := start + run*LineSize
-			copy(p.media[start:end], p.mem[start:end])
-			mm &^= (1<<run - 1) << lo
-		}
-		p.dirtyBits[w].And(^m)
-		mu.Unlock()
+		p.markClean(s, uint64(w), m)
+		s.mu.Unlock()
 		if c := bits.OnesCount64(m); c > 0 {
 			p.pendingCount.Add(int64(-c))
 		}
 	}
 	p.pendSpare = words[:0]
-}
-
-// syncMedia settles the durable view after a fast-mode run: every line the
-// fast path left dirty (or a preceding precise phase left flush-pending) is
-// copied to the media and the tracking sets are cleared. Conservative by
-// construction — a fast run with no crash in it fences everything it leaves
-// behind anyway, so treating the whole residue as durable is exactly the
-// state a quiesced precise pool would reach. Requires external quiescence.
-func (p *Pool) syncMedia() {
-	p.drainMu.Lock()
-	defer p.drainMu.Unlock()
-	for w := range p.dirtyBits {
-		m := p.dirtyBits[w].Swap(0) | p.pendingBits[w].Swap(0)
-		for mm := m; mm != 0; {
-			lo := uint64(bits.TrailingZeros64(mm))
-			run := uint64(bits.TrailingZeros64(^(mm >> lo)))
-			start := (uint64(w)<<6 | lo) * LineSize
-			end := start + run*LineSize
-			copy(p.media[start:end], p.mem[start:end])
-			mm &^= (1<<run - 1) << lo
-		}
-	}
-	p.pendingCount.Store(0)
-	p.pendMu.Lock()
-	p.pendWords = p.pendWords[:0]
-	p.pendMu.Unlock()
 }
 
 // Persist is the common flush-then-fence sequence.
@@ -792,8 +782,9 @@ func (p *Pool) Persist(addr, n uint64) {
 
 // Crash simulates a power failure: the configured EvictPolicy decides the
 // fate of each dirty line (pending FlushOpt lines included — an un-fenced
-// optimized flush guarantees nothing), then the coherent view is reset to
-// the media image. Lines are visited in ascending order so a seeded pool's
+// optimized flush guarantees nothing) by putting back all, none or a word
+// suffix of its pre-image, which leaves the coherent view equal to the
+// durable one. Lines are visited in ascending order so a seeded pool's
 // adversary is deterministic. Crash requires that no other goroutine is
 // accessing the pool.
 func (p *Pool) Crash() {
@@ -802,54 +793,80 @@ func (p *Pool) Crash() {
 	// first (everything written survives — the persistent-cache reading),
 	// then the eviction policy applies to the nothing that remains dirty.
 	if p.fast.Swap(false) {
-		p.syncMedia()
+		p.clearTracking()
 	}
 	p.stats.Crashes.Add(1)
 	p.crashAt.Store(0)
 	p.crashed.Store(false)
+	const lineWords = LineSize / 8
 	p.rngMu.Lock()
 	for w := range p.dirtyBits {
-		m := p.dirtyBits[w].Load()
-		for mm := m; mm != 0; mm &= mm - 1 {
-			l := uint64(w)<<6 | uint64(bits.TrailingZeros64(mm))
-			off := l * LineSize
+		s := &p.shards[w&(dirtyShards-1)]
+		for m := p.dirtyBits[w].Load(); m != 0; m &= m - 1 {
+			l := uint64(w)<<6 | uint64(bits.TrailingZeros64(m))
+			// kept is how many leading 8-byte words of the line's new
+			// contents reached the media before the power went.
+			kept := 0
 			switch p.evict {
 			case EvictNone:
-				// Lost whole.
 			case EvictAll:
-				copy(p.media[off:off+LineSize], p.mem[off:off+LineSize])
+				kept = lineWords
 			case EvictTorn:
-				// A random prefix of 8-byte words reaches the media:
-				// persistence is word-atomic, not line-atomic.
-				k := p.rng.Intn(LineSize/8 + 1)
-				if k > 0 {
-					copy(p.media[off:off+uint64(k)*8], p.mem[off:off+uint64(k)*8])
-				}
-				if k > 0 && k < LineSize/8 {
+				// Persistence is word-atomic, not line-atomic.
+				kept = p.rng.Intn(lineWords + 1)
+				if kept > 0 && kept < lineWords {
 					p.stats.TornLines.Add(1)
 				}
 			default: // EvictRandom
 				if p.rng.Float64() < p.evictProb {
-					copy(p.media[off:off+LineSize], p.mem[off:off+LineSize])
+					kept = lineWords
 				}
+			}
+			if pre, ok := s.pre[l]; ok && kept < lineWords {
+				copy(p.mem[l*LineSize+uint64(kept)*8:(l+1)*LineSize], pre[kept*8:])
 			}
 		}
 	}
 	p.clearTracking()
 	p.rngMu.Unlock()
-	copy(p.mem, p.media)
 }
 
-// clearTracking resets the dirty/pending line sets.
+// clearTracking empties the dirty/pending line sets and drops every
+// pre-image, which makes the coherent view the durable one. Settling a
+// fast-mode run is exactly this: the run fenced what it left behind, so
+// every written line counts as having reached the media.
 func (p *Pool) clearTracking() {
 	for w := range p.dirtyBits {
 		p.dirtyBits[w].Store(0)
 		p.pendingBits[w].Store(0)
 	}
+	for i := range p.shards {
+		p.shards[i].pre = nil
+	}
 	p.pendingCount.Store(0)
 	p.pendMu.Lock()
 	p.pendWords = p.pendWords[:0]
 	p.pendMu.Unlock()
+}
+
+// overlayPreImages lays every pre-image over img, a copy of mem, turning
+// it into the durable view.
+func (p *Pool) overlayPreImages(img []byte) {
+	for i := range p.shards {
+		for l, pre := range p.shards[i].pre {
+			copy(img[l*LineSize:], pre[:])
+		}
+	}
+}
+
+// preImages returns the number of pre-images held: in precise mode, the
+// number of dirty lines.
+func (p *Pool) preImages() int {
+	n := 0
+	for i := range p.shards {
+		n += len(p.shards[i].pre)
+	}
+	return n
 }
 
 // DirtyLines returns the number of cache lines currently dirty.

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -303,6 +305,111 @@ func TestConcurrentStoresDistinctLines(t *testing.T) {
 		for i := 0; i < perWorker; i++ {
 			if got := p.Load64(base + uint64(i)*LineSize); got != uint64(w*1000+i) {
 				t.Fatalf("worker %d slot %d = %d", w, i, got)
+			}
+		}
+	}
+}
+
+// TestPoolFootprint pins the pool to one array: creating a 64 MiB pool, or
+// rebuilding one from a 64 MiB image, may allocate the array and its
+// tracking bitmaps but not a second copy of the pool.
+func TestPoolFootprint(t *testing.T) {
+	const size = 64 << 20
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	limit := uint64(size) * 11 / 10
+	var p, q *Pool
+	if n := allocated(func() { p = New(size) }); n > limit {
+		t.Fatalf("New(%d) allocated %d bytes, want <= %d", size, n, limit)
+	}
+	img := p.Snapshot()
+	var err error
+	if n := allocated(func() { q, err = NewFromImage(img) }); n > limit {
+		t.Fatalf("NewFromImage of %d bytes allocated %d bytes, want <= %d", size, n, limit)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(p)
+	runtime.KeepAlive(q)
+}
+
+// TestPreImagesLiveOnlyWhileDirty pins the pre-image store to the dirty
+// lines: stores keep one pre-image per line they turn dirty, and a strong
+// flush, a Fence drain and a Crash each leave none behind.
+func TestPreImagesLiveOnlyWhileDirty(t *testing.T) {
+	p := New(1 << 20)
+	base := p.HeapBase()
+	const lines = 200 // spans several bitmap words and shards
+	dirty := func() {
+		buf := make([]byte, lines*LineSize)
+		rand.New(rand.NewSource(1)).Read(buf)
+		p.Store(base+8, buf[:len(buf)-16]) // partial first and last lines
+		p.Store64(base+3*LineSize, 7)      // an already-dirty line
+		if n, d := p.preImages(), p.DirtyLines(); n != lines || d != lines {
+			t.Fatalf("%d pre-images for %d dirty lines, want %d of each", n, d, lines)
+		}
+	}
+	dirty()
+	p.Flush(base, lines*LineSize)
+	if n := p.preImages(); n != 0 {
+		t.Fatalf("%d pre-images left after Flush", n)
+	}
+	dirty()
+	p.FlushOpt(base, lines*LineSize)
+	if n := p.preImages(); n != lines {
+		t.Fatalf("FlushOpt dropped pre-images before the fence: %d left", n)
+	}
+	p.Fence()
+	if n, d := p.preImages(), p.DirtyLines(); n != 0 || d != 0 {
+		t.Fatalf("%d pre-images and %d dirty lines left after the drain", n, d)
+	}
+	dirty()
+	p.Crash()
+	if n := p.preImages(); n != 0 {
+		t.Fatalf("%d pre-images left after Crash", n)
+	}
+}
+
+// TestConcurrentNeighboursKeepPersistedWords has eight goroutines share
+// every line, one 8-byte word each, storing and persisting their own word
+// while the others store and flush the rest of the line. Each pre-image is
+// kept and dropped under the line's shard lock, so after a crash that
+// evicts nothing each word holds its owner's last persisted value, or the
+// one unpersisted store that followed it if a neighbour's flush carried
+// that along — never an older value.
+func TestConcurrentNeighboursKeepPersistedWords(t *testing.T) {
+	p := New(1<<20, WithEviction(EvictNone))
+	const lines, rounds = 130, 20 // lines span three bitmap words
+	base := p.HeapBase()
+	var wg sync.WaitGroup
+	for w := uint64(0); w < LineSize/8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := uint64(1); r <= rounds; r++ {
+				for l := uint64(0); l < lines; l++ {
+					addr := base + l*LineSize + w*8
+					p.Store64(addr, r)
+					p.Persist(addr, 8)
+				}
+			}
+			for l := uint64(0); l < lines; l++ {
+				p.Store64(base+l*LineSize+w*8, ^uint64(0)) // never persisted
+			}
+		}()
+	}
+	wg.Wait()
+	p.Crash()
+	for l := uint64(0); l < lines; l++ {
+		for w := uint64(0); w < LineSize/8; w++ {
+			if got := p.Load64(base + l*LineSize + w*8); got != rounds && got != ^uint64(0) {
+				t.Fatalf("line %d word %d = %#x after crash, want %d or the unpersisted store", l, w, got, rounds)
 			}
 		}
 	}
