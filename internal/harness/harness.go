@@ -147,11 +147,13 @@ func (sc Scale) maxSlots() int {
 }
 
 // NewSetup provisions a pool, allocator and engine of the given kind. It
-// calls Prefault, which does nothing (see nvm.Pool.Prefault): the pool's
-// pages fault in on first touch, inside setup or the measured region. The
-// pool runs in fast mode: benchmarks never arm crash points, so the pool
-// skips per-event persist-point accounting. Crash experiments re-arm
-// precise mode automatically via ScheduleCrashAt/ResetPersistPoints.
+// calls Prefault, which does nothing by decision (see nvm.Pool.Prefault):
+// first touch stays lazy, so the pool's pages fault in 4 KiB at a time
+// inside setup or the measured region, and the resident set holds only the
+// pages the workload writes, not the whole pool. The pool runs in fast
+// mode: benchmarks never arm crash points, so the pool skips per-event
+// persist-point accounting. Crash experiments re-arm precise mode
+// automatically via ScheduleCrashAt/ResetPersistPoints.
 func NewSetup(kind EngineKind, sc Scale) (*Setup, error) {
 	pool := nvm.New(sc.PoolBytes, nvm.WithLatency(sc.Latency))
 	pool.Prefault()

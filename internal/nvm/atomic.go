@@ -3,6 +3,7 @@ package nvm
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 )
 
 // Word-atomic primitives for lock-free persistent structures.
@@ -53,6 +54,7 @@ func (p *Pool) CAS64(addr, old, new uint64) bool {
 		binary.LittleEndian.PutUint64(p.mem[addr:], new)
 	}
 	s.mu.Unlock()
+	runtime.KeepAlive(p)
 	h := &p.stats.hot[stripeOf(addr)]
 	if !swapped {
 		h.loads.Add(1)
@@ -79,6 +81,7 @@ func (p *Pool) AtomicLoad64(addr uint64) uint64 {
 	s.mu.Lock()
 	v := binary.LittleEndian.Uint64(p.mem[addr:])
 	s.mu.Unlock()
+	runtime.KeepAlive(p)
 	h := &p.stats.hot[stripeOf(addr)]
 	h.loads.Add(1)
 	h.bytesLoaded.Add(8)

@@ -443,7 +443,7 @@ func TestPrefaultPreservesContents(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot of a prefaulted pool rejected: %v", err)
 	}
-	q.Prefault() // the supervisor prefaults rebuilt pools carrying live data
+	q.Prefault() // setups call it on rebuilt pools that carry live data
 	for off := uint64(HeaderSize); off+8 <= q.Size(); off += stride {
 		if got := q.Load64(off); got != off^0xABCD {
 			t.Fatalf("Prefault corrupted rebuilt pool at %#x: %#x", off, got)

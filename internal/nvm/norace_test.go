@@ -1,0 +1,5 @@
+//go:build !race
+
+package nvm
+
+const raceBuild = false

@@ -12,7 +12,13 @@
 // uncontrolled eviction order and 8-byte persistence atomicity of real
 // caches.
 //
-// The pool keeps one array, mem: the coherent view every CPU sees. Under a
+// The pool keeps one array, mem: the coherent view every CPU sees. On Linux
+// (outside race builds) the array is an anonymous mapping rather than a Go
+// heap object, as the paper's pools are DAX files mapped into the process:
+// pages fault in lazily on first touch, and the collector neither counts the
+// pool as live heap nor paces its garbage on it. Every method that touches
+// mem ends with runtime.KeepAlive(p), because the finalizer that unmaps the
+// array may run as soon as the pool is unreachable. Under a
 // write-back cache the durable view differs from it only in the dirty lines,
 // so for each line a precise-mode store moves from clean to dirty the pool
 // also keeps the line's 64-byte pre-image — its durable contents. The
@@ -57,6 +63,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -105,6 +112,10 @@ type lineShard struct {
 	_   [64 - 16]byte
 }
 
+// mappedBytes is the size of every pool array currently mapped. It stays 0
+// where pools live on the Go heap.
+var mappedBytes atomic.Int64
+
 // Pool is a simulated NVM region plus its cache model.
 //
 // Concurrent use: Load/Store/Flush/FlushOpt/FlushOptLines/Fence are safe for
@@ -115,8 +126,10 @@ type lineShard struct {
 // require external quiescence.
 type Pool struct {
 	// mem is the coherent CPU view; the durable view is mem with the
-	// shards' pre-images laid over it.
-	mem []byte
+	// shards' pre-images laid over it. backing owns mem when it is mapped
+	// (nil on the heap) and unmaps it once the pool is unreachable.
+	mem     []byte
+	backing *mapping
 
 	// Dirty/pending line tracking. A set bit in dirtyBits means the line
 	// differs (or may differ) from its durable contents; a set bit in
@@ -227,8 +240,10 @@ func New(size uint64, opts ...Option) *Pool {
 		size += LineSize - r
 	}
 	words := (size/LineSize + 63) / 64
+	mem, backing := newPoolMem(size)
 	p := &Pool{
-		mem:         make([]byte, size),
+		mem:         mem,
+		backing:     backing,
 		evictProb:   0.5,
 		rng:         rand.New(rand.NewSource(1)),
 		dirtyBits:   make([]atomic.Uint64, words),
@@ -246,13 +261,14 @@ func New(size uint64, opts ...Option) *Pool {
 // Size returns the pool size in bytes.
 func (p *Pool) Size() uint64 { return uint64(len(p.mem)) }
 
-// Prefault does nothing: the pool's pages fault in on first touch, inside
-// whatever touches them first, measured or not. Setups call it before
-// starting timers, as the one place that would make pages resident.
-// Touching them for real (a store of a just-loaded byte does not: the
-// compiler removes it) would make a whole pool resident up front, 512 MiB
-// for the served pool, so it changes every setup's resident set and needs
-// its own measurement.
+// Prefault does nothing, by decision: first touch stays lazy. A pool's
+// pages fault in 4 KiB at a time inside whatever touches them first,
+// measured or not, so a pool is resident only where it holds data. Setups
+// call it before starting timers, as the one place that would make pages
+// resident. Touching every page (MAP_POPULATE, or a store per page; a store
+// of a just-loaded byte does not count, the compiler removes it) would make
+// the whole pool resident up front, 512 MiB for the served pool, which is
+// the footprint the mapping exists to avoid.
 func (p *Pool) Prefault() {}
 
 // HeapBase returns the first address usable by an allocator.
@@ -302,6 +318,7 @@ func (p *Pool) Load(addr uint64, buf []byte) {
 	h.loads.Add(1)
 	h.bytesLoaded.Add(int64(len(buf)))
 	copy(buf, p.mem[addr:])
+	runtime.KeepAlive(p)
 }
 
 // Load64 reads a little-endian uint64 at addr.
@@ -310,7 +327,9 @@ func (p *Pool) Load64(addr uint64) uint64 {
 	h := &p.stats.hot[stripeOf(addr)]
 	h.loads.Add(1)
 	h.bytesLoaded.Add(8)
-	return binary.LittleEndian.Uint64(p.mem[addr:])
+	v := binary.LittleEndian.Uint64(p.mem[addr:])
+	runtime.KeepAlive(p)
+	return v
 }
 
 // Store writes data at addr into the cache (NOT durable until flushed and
@@ -366,6 +385,7 @@ func (p *Pool) storeBytes(addr uint64, data []byte) {
 			loLine, hiLine := max(w<<6, first), min(w<<6|63, last)
 			p.dirtyBits[w].Or(onesRange(loLine&63, hiLine&63))
 		}
+		runtime.KeepAlive(p)
 		return
 	}
 	for w := first >> 6; w <= last>>6; w++ {
@@ -389,6 +409,7 @@ func (p *Pool) storeBytes(addr uint64, data []byte) {
 		copy(p.mem[lo:hi], data[lo-addr:hi-addr])
 		s.mu.Unlock()
 	}
+	runtime.KeepAlive(p)
 }
 
 // markDirty marks the lines of mask in bitmap word w dirty, first keeping
@@ -408,6 +429,7 @@ func (p *Pool) markDirty(s *lineShard, w, mask uint64) {
 		s.pre[l] = [LineSize]byte(p.mem[l*LineSize:])
 	}
 	p.dirtyBits[w].Or(clean)
+	runtime.KeepAlive(p)
 }
 
 // markClean marks the lines of mask in bitmap word w clean: their coherent
@@ -433,6 +455,7 @@ func (p *Pool) Store64(addr uint64, v uint64) {
 		if p.fast.Load() {
 			binary.LittleEndian.PutUint64(p.mem[addr:], v)
 			p.dirtyBits[w].Or(uint64(1) << (l & 63))
+			runtime.KeepAlive(p)
 			return
 		}
 		s := &p.shards[w&(dirtyShards-1)]
@@ -440,6 +463,7 @@ func (p *Pool) Store64(addr uint64, v uint64) {
 		p.markDirty(s, w, uint64(1)<<(l&63))
 		binary.LittleEndian.PutUint64(p.mem[addr:], v)
 		s.mu.Unlock()
+		runtime.KeepAlive(p)
 	} else {
 		var buf [8]byte
 		binary.LittleEndian.PutUint64(buf[:], v)
@@ -829,6 +853,7 @@ func (p *Pool) Crash() {
 	}
 	p.clearTracking()
 	p.rngMu.Unlock()
+	runtime.KeepAlive(p)
 }
 
 // clearTracking empties the dirty/pending line sets and drops every

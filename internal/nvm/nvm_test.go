@@ -311,8 +311,8 @@ func TestConcurrentStoresDistinctLines(t *testing.T) {
 }
 
 // TestPoolFootprint pins the pool to one array: creating a 64 MiB pool, or
-// rebuilding one from a 64 MiB image, may allocate the array and its
-// tracking bitmaps but not a second copy of the pool.
+// rebuilding one from a 64 MiB image in memory or on disk, may allocate the
+// array and its tracking bitmaps but not a second copy of the pool.
 func TestPoolFootprint(t *testing.T) {
 	const size = 64 << 20
 	allocated := func(fn func()) uint64 {
@@ -335,8 +335,20 @@ func TestPoolFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(t.TempDir(), "pool.img")
+	if err := q.SaveImage(path); err != nil {
+		t.Fatal(err)
+	}
+	var r *Pool
+	if n := allocated(func() { r, err = OpenImage(path) }); n > limit {
+		t.Fatalf("OpenImage of %d bytes allocated %d bytes, want <= %d", size, n, limit)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 	runtime.KeepAlive(p)
 	runtime.KeepAlive(q)
+	runtime.KeepAlive(r)
 }
 
 // TestPreImagesLiveOnlyWhileDirty pins the pre-image store to the dirty
