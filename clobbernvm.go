@@ -63,6 +63,9 @@ type (
 	Engine = txn.Engine
 	// Addr is a persistent-memory address (byte offset into the pool).
 	Addr = txn.Addr
+	// Range is a byte range of persistent memory, as Mem.WillStore
+	// declares it.
+	Range = txn.Range
 	// Pool is the simulated NVM pool.
 	Pool = nvm.Pool
 	// Latency is the simulated flush/fence cost model.

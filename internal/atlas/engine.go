@@ -211,7 +211,7 @@ func (m *mem) preStore(addr, n uint64) {
 	if n == 0 {
 		return
 	}
-	m.s.LogUndo(addr, n, obs.KindLogAppend)
+	m.s.LogUndo([]txn.Range{{Addr: addr, Len: n}}, obs.KindLogAppend)
 	u1, u2 := addr>>3, (addr+n-1)>>3
 	for l := u1 >> 3; l <= u2>>3; l++ {
 		m.s.Lines.MarkStored(l, chassis.Words(l, u1, u2))
@@ -220,3 +220,6 @@ func (m *mem) preStore(addr, n uint64) {
 
 func (m *mem) Alloc(size uint64) (txn.Addr, error) { return m.s.Alloc(size) }
 func (m *mem) Free(addr txn.Addr) error            { return m.s.Free(addr) }
+
+// WillStore implements txn.Mem: Atlas logs every store as it runs.
+func (m *mem) WillStore([]txn.Range) {}

@@ -485,3 +485,4 @@ func (r roMem) Alloc(size uint64) (txn.Addr, error) {
 func (r roMem) Free(addr txn.Addr) error {
 	return errors.New("free inside a read-only operation")
 }
+func (r roMem) WillStore([]txn.Range) {}

@@ -144,25 +144,38 @@ func (s *Slot) Commit(retired bool) {
 	s.Tx.Apply()
 }
 
-// LogUndo appends the pre-store image of [addr, addr+n) to the data log and
-// fences it through CommitFence: the entry is durable before the store it
-// protects runs (CommitFence blocks), while concurrent slots' log fences
-// can share one epoch.
-func (s *Slot) LogUndo(addr, n uint64, kind obs.Kind) {
-	c := s.c
-	if uint64(cap(s.Buf)) < n {
-		s.Buf = make([]byte, n, 2*n)
+// LogUndo appends the pre-store image of each range to the data log, one
+// entry per range, and fences them all through one CommitFence: every entry
+// is durable before any store it protects runs (CommitFence blocks), while
+// concurrent slots' log fences can share one epoch. No fence orders the
+// entries among themselves, so a crash before the fence may keep any subset
+// of them; several entries therefore append as one plog group, whose torn
+// member a strict scan reads as the end of the log. None of the stores has
+// run then, so whichever prefix survives restores harmlessly.
+func (s *Slot) LogUndo(ranges []txn.Range, kind obs.Kind) {
+	if len(ranges) == 0 {
+		return
 	}
-	old := s.Buf[:n]
-	c.pool.Load(addr, old)
-	nbytes, err := s.Log.Append(s.Seq, addr, old, plog.AppendOptions{NoFence: true})
-	if err != nil {
-		panic(fmt.Errorf("%w: %v", ErrTxTooLarge, err))
+	c := s.c
+	opts := plog.AppendOptions{NoFence: true}
+	if len(ranges) > 1 {
+		opts.Group = s.Log.GroupTag()
+	}
+	for _, r := range ranges {
+		if uint64(cap(s.Buf)) < r.Len {
+			s.Buf = make([]byte, r.Len, 2*r.Len)
+		}
+		old := s.Buf[:r.Len]
+		c.pool.Load(r.Addr, old)
+		nbytes, err := s.Log.Append(s.Seq, r.Addr, old, opts)
+		if err != nil {
+			panic(fmt.Errorf("%w: %v", ErrTxTooLarge, err))
+		}
+		c.stats.LogEntries.Add(1)
+		c.stats.LogBytes.Add(int64(nbytes))
+		c.probe.LogAppend(kind, s.ID, s.Seq, nbytes)
 	}
 	c.pool.CommitFence()
-	c.stats.LogEntries.Add(1)
-	c.stats.LogBytes.Add(int64(nbytes))
-	c.probe.LogAppend(kind, s.ID, s.Seq, nbytes)
 }
 
 // InPool checks that every entry lies inside the pool and quarantines the

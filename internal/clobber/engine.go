@@ -27,15 +27,24 @@
 //     are logged again on later stores, modelling alias-analysis-only
 //     identification without dependency propagation.
 //
+// A txfunc may also declare the ranges it is about to overwrite
+// (txn.Mem.WillStore), the batched form of the clobber_log callback: their
+// entries are the ones the run-time check would write, under one fence.
+//
 // What each worker slot adds to the chassis's (package chassis), matching
 // the paper's per-thread v_log:
 //
 //	v_log         txfunc name + encoded args + checksum, in the slot header
-//	              behind the status word — one entry, hence exactly two
-//	              fences per transaction (begin and commit), the property
-//	              §5.3 credits for v_log's low cost
+//	              behind the status word — one entry per transaction,
+//	              written and fenced once at begin, the property §5.3
+//	              credits for v_log's low cost
 //	clobber_log   the slot's data log of (addr, old bytes) records, one
-//	              fence per entry
+//	              fence per batch: per entry as the run-time check finds
+//	              them, per declaration for declared ranges
+//
+// A transaction therefore fences at begin (the v_log and the ongoing
+// status), once per clobber_log batch, at commit (the outputs and the
+// allocator record) and at the idle status that commits it.
 //
 // Clobber transactions commit at begin: they cannot roll back, so a txfunc
 // may fail only before its first store. An interrupted transaction never
@@ -168,7 +177,7 @@ func (m *mem) Begin(name string, args *txn.Args) error {
 	}
 	// Stage the whole v_log entry — status word, name, args and checksum —
 	// and write it with a single Store; one flush set and one fence order
-	// it, preserving §5.3's two-fences-per-transaction property at a
+	// it, so the v_log costs the transaction this one fence (§5.3) at a
 	// fraction of per-field store traffic. The arguments serialize straight
 	// into the staging buffer.
 	s := m.s
@@ -274,7 +283,10 @@ func (e *Engine) recoverSlot(s *chassis.Slot, seq, phase uint64) (chassis.Outcom
 		vlogOK = p.Load64(s.Hdr+offVLogChecksum) == vlogChecksum(seq, string(nameBuf), enc)
 	}
 
-	// Clobber appends are fenced per entry, so the strict scan is sound.
+	// Every clobber_log batch is fenced before the next one starts, and a
+	// batch of several entries appends as one plog group, so the strict
+	// scan reads a batch torn by the crash as the end of the log and still
+	// convicts damage to a fenced one.
 	entries, scanErr := s.Log.ScanStrict(seq)
 	if !vlogOK {
 		if scanErr != nil || len(entries) > 0 {

@@ -16,7 +16,8 @@ import (
 // footprint as input, stored and/or logged. A store of any length is one
 // clobber check and at most one clobber_log entry, covering the hull of the
 // input words it overwrites (preStore): a structure that moves a run of slots
-// with one Load and one Store logs the move as one range.
+// with one Load and one Store logs the move as one range. A txfunc that
+// declares its ranges (WillStore) gets the same entries under one fence.
 type mem struct {
 	e    *Engine
 	s    *chassis.Slot
@@ -27,7 +28,7 @@ type mem struct {
 
 	stored bool
 	// fenced: the transaction has issued a fence (begin, or a clobber_log
-	// entry's).
+	// batch's).
 	fenced bool
 }
 
@@ -126,19 +127,70 @@ func (m *mem) preStore(addr, n uint64) {
 	}
 	if first <= last && !m.e.opts.DisableClobberLog {
 		lo, hi := max(addr, first<<3), min(addr+n, (last+1)<<3)
-		m.logClobber(lo, hi-lo)
+		m.logClobber([]txn.Range{{Addr: lo, Len: hi - lo}}, obs.KindClobberLog)
 	}
 }
 
-// logClobber records the pre-store value of [addr, addr+n) in the
-// clobber_log (one flush set + one fence, the PMDK undo-log discipline) and
-// marks the covered units logged so shadowed writes skip the log.
-func (m *mem) logClobber(addr, n uint64) {
-	m.s.LogUndo(addr, n, obs.KindClobberLog)
-	m.fenced = true
+// WillStore implements txn.Mem: the batched clobber_log callback. Of each
+// declared range it logs the hull of the words the transaction has neither
+// stored nor logged — the entry preStore would write at that store once the
+// range is read — and all of them under one fence, so a B+tree shift pays
+// one fence for its key run, pointer run and count instead of three. The
+// words are marked logged and their stores log nothing more. Conservative
+// identification relogs at every store and a disabled clobber_log logs
+// nothing, so neither takes declarations: Figures 7 and 13 keep measuring
+// the per-store callback.
+func (m *mem) WillStore(ranges []txn.Range) {
+	if m.e.opts.Conservative || m.e.opts.DisableClobberLog {
+		return
+	}
+	batch := make([]txn.Range, 0, 4)
+	for _, r := range ranges {
+		if lo, hi := m.unwritten(r.Addr, r.Len); lo < hi {
+			batch = append(batch, txn.Range{Addr: lo, Len: hi - lo})
+		}
+	}
+	m.logClobber(batch, obs.KindClobberDeclared)
+}
+
+// unwritten returns the hull [lo, hi) — first to last, clamped to the range
+// — of the words of [addr, addr+n) the transaction has neither stored nor
+// logged; lo >= hi if there are none.
+func (m *mem) unwritten(addr, n uint64) (lo, hi uint64) {
+	if n == 0 {
+		return 0, 0
+	}
+	first, last := ^uint64(0), uint64(0)
 	u1, u2 := addr>>3, (addr+n-1)>>3
 	for l := u1 >> 3; l <= u2>>3; l++ {
-		m.t.MarkLogged(l, chassis.Words(l, u1, u2))
+		v := *m.t.At(l)
+		free := chassis.Words(l, u1, u2) &^ (v>>chassis.StoredShift | v>>chassis.LoggedShift)
+		if free != 0 {
+			first = min(first, l<<3+uint64(bits.TrailingZeros32(free)))
+			last = l<<3 + uint64(bits.Len32(free)) - 1
+		}
+	}
+	if first > last {
+		return 0, 0
+	}
+	return max(addr, first<<3), min(addr+n, (last+1)<<3)
+}
+
+// logClobber records the pre-store values of ranges in the clobber_log (one
+// flush set per entry and one fence for them all, the PMDK undo-log
+// discipline) and marks the covered units logged so shadowed writes skip
+// the log.
+func (m *mem) logClobber(ranges []txn.Range, kind obs.Kind) {
+	if len(ranges) == 0 {
+		return
+	}
+	m.s.LogUndo(ranges, kind)
+	m.fenced = true
+	for _, r := range ranges {
+		u1, u2 := r.Addr>>3, (r.Addr+r.Len-1)>>3
+		for l := u1 >> 3; l <= u2>>3; l++ {
+			m.t.MarkLogged(l, chassis.Words(l, u1, u2))
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 var pinnedCells = map[string]string{
 	"clobber/hashmap":                "points [33 36 12 81] ref [1 1 1] stats {3 0 3 120 3 107 0 0} image 481e81dfc9c743e2 | recovery points [13 14 5 32] report {Slots:2 Recovered:1 Reexecuted:1 RolledBack:0 RolledForward:0 Quarantined:0 Errors:[]} stats {1 1 1 40 1 39 0 0} image d6e1ca10baf3c943",
 	"clobber/list":                   "points [33 38 12 83] ref [1 1 1] stats {3 0 3 120 3 98 0 0} image cfd8d77993fc19a7 | recovery points [13 14 5 32] report {Slots:2 Recovered:1 Reexecuted:1 RolledBack:0 RolledForward:0 Quarantined:0 Errors:[]} stats {1 1 1 40 1 36 0 0} image 3f5b18f2194b6b6b",
-	"clobber/bptree-twolevel":        "points [56 114 22 192] ref [3 7 3] stats {3 0 13 2088 3 96 0 0} image 208883e7e45262f8 | recovery points [36 48 12 96] report {Slots:2 Recovered:1 Reexecuted:1 RolledBack:0 RolledForward:0 Quarantined:0 Errors:[]} stats {1 1 7 440 1 36 0 0} image cf8da671f1f2b5ed",
+	"clobber/bptree-twolevel":        "points [56 114 15 185] ref [3 7 3] stats {3 0 13 2088 3 96 0 0} image 89bbc500fa25828d | recovery points [36 48 9 93] report {Slots:2 Recovered:1 Reexecuted:1 RolledBack:0 RolledForward:0 Quarantined:0 Errors:[]} stats {1 1 7 440 1 36 0 0} image 8998900e297973eb",
 	"pmdk/hashmap":                   "points [41 42 20 103] ref [6 4 1] stats {3 0 11 432 0 0 0 0} image f1d7358f67871111 | recovery points [2 2 2 6] report {Slots:2 Recovered:1 Reexecuted:0 RolledBack:1 RolledForward:0 Quarantined:0 Errors:[]} stats {0 1 0 0 0 0 0 0} image 4c64564929e5d0c1",
 	"pmdk/list":                      "points [41 44 20 105] ref [6 4 1] stats {3 0 11 432 0 0 0 0} image bab23589d488b05c | recovery points [2 2 2 6] report {Slots:2 Recovered:1 Reexecuted:0 RolledBack:1 RolledForward:0 Quarantined:0 Errors:[]} stats {0 1 0 0 0 0 0 0} image 437e360cef5787dc",
 	"pmdk/bptree-twolevel":           "points [67 132 33 232] ref [6 15 3] stats {3 0 24 2979 0 0 0 0} image 771a53c0236b82b7 | recovery points [9 15 3 27] report {Slots:2 Recovered:1 Reexecuted:0 RolledBack:1 RolledForward:0 Quarantined:0 Errors:[]} stats {0 1 0 0 0 0 0 0} image 2334d1459b0e423e",
@@ -34,7 +34,7 @@ var pinnedCells = map[string]string{
 	"atlas/bptree-twolevel":          "points [79 141 39 259] ref [6 18 3] stats {3 0 27 3099 0 0 0 0} image 89980946fd0b99cb | recovery points [11 17 3 31] report {Slots:2 Recovered:1 Reexecuted:0 RolledBack:1 RolledForward:0 Quarantined:0 Errors:[]} stats {0 1 0 0 0 0 0 0} image 9ab00c7bca152e69",
 	"clobber-line/hashmap":           "points [33 33 12 78] ref [1 1 1] stats {3 0 3 48 3 107 0 0} image e68355d1857a2b0b | recovery points [13 13 5 31] report {Slots:2 Recovered:1 Reexecuted:1 RolledBack:0 RolledForward:0 Quarantined:0 Errors:[]} stats {1 1 1 16 1 39 0 0} image c5a1a894a372fc2f",
 	"clobber-line/list":              "points [33 35 12 80] ref [1 1 1] stats {3 0 3 48 3 98 0 0} image 9980e4233deaec15 | recovery points [13 13 5 31] report {Slots:2 Recovered:1 Reexecuted:1 RolledBack:0 RolledForward:0 Quarantined:0 Errors:[]} stats {1 1 1 16 1 36 0 0} image 765a1de446471d68",
-	"clobber-line/bptree-twolevel":   "points [86 111 22 219] ref [3 7 3] stats {3 0 13 1776 3 96 0 0} image 55f4f4344f97f73c | recovery points [40 45 12 97] report {Slots:2 Recovered:1 Reexecuted:1 RolledBack:0 RolledForward:0 Quarantined:0 Errors:[]} stats {1 1 7 272 1 36 0 0} image ee2b2cf7925a13d1",
+	"clobber-line/bptree-twolevel":   "points [86 111 15 212] ref [3 7 3] stats {3 0 13 1776 3 96 0 0} image 55f4f4344f97f73c | recovery points [40 45 9 94] report {Slots:2 Recovered:1 Reexecuted:1 RolledBack:0 RolledForward:0 Quarantined:0 Errors:[]} stats {1 1 7 272 1 36 0 0} image ee2b2cf7925a13d1",
 	"pmdk-line/hashmap":              "points [43 37 20 100] ref [6 4 1] stats {3 0 11 176 0 0 0 0} image 4f75d4e39e92e10b | recovery points [2 2 2 6] report {Slots:2 Recovered:1 Reexecuted:0 RolledBack:1 RolledForward:0 Quarantined:0 Errors:[]} stats {0 1 0 0 0 0 0 0} image 31625cf8d2338693",
 	"pmdk-line/list":                 "points [43 39 20 102] ref [6 4 1] stats {3 0 11 176 0 0 0 0} image c08922054fc13ea4 | recovery points [2 2 2 6] report {Slots:2 Recovered:1 Reexecuted:0 RolledBack:1 RolledForward:0 Quarantined:0 Errors:[]} stats {0 1 0 0 0 0 0 0} image 81b645d31a6dcb37",
 	"pmdk-line/bptree-twolevel":      "points [109 128 33 270] ref [6 15 3] stats {3 0 24 2416 0 0 0 0} image 65d7612aa5d76674 | recovery points [9 15 3 27] report {Slots:2 Recovered:1 Reexecuted:0 RolledBack:1 RolledForward:0 Quarantined:0 Errors:[]} stats {0 1 0 0 0 0 0 0} image 7688989813ad8229",

@@ -102,6 +102,9 @@ type Result struct {
 	// RefLogEntries is the engine's log-entry count for each live op of the
 	// uncrashed reference run: a fingerprint of the code path the op took.
 	RefLogEntries []int64
+	// RefFences is the fence count of each live op of the reference run,
+	// which says how the op's log entries were ordered.
+	RefFences []int64
 	// Shards and Victim are set by RunSharded only: the shard count swept
 	// over and the shard whose persist points were crash-injected while the
 	// others had to keep their state intact.
@@ -301,11 +304,12 @@ func RunSpec(spec EngineSpec, cfg Config) (Result, error) {
 	}
 	pool.ResetPersistPoints()
 	for _, o := range liveOps {
-		before := eng.Stats().Snapshot().LogEntries
+		before, fences := eng.Stats().Snapshot().LogEntries, pool.PersistPoints(nvm.CrashAtFence)
 		if err := o.run(store); err != nil {
 			return res, fmt.Errorf("crashsweep: reference op %v: %w", o, err)
 		}
 		res.RefLogEntries = append(res.RefLogEntries, eng.Stats().Snapshot().LogEntries-before)
+		res.RefFences = append(res.RefFences, pool.PersistPoints(nvm.CrashAtFence)-fences)
 	}
 	res.PersistPoints = pool.PersistPoints(cfg.Kind)
 

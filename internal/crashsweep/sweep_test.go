@@ -108,6 +108,7 @@ func (m naiveMem) Store(addr uint64, data []byte)      { m.n.pool.Store(addr, da
 func (m naiveMem) Store64(addr uint64, v uint64)       { m.n.pool.Store64(addr, v) }
 func (m naiveMem) Alloc(size uint64) (txn.Addr, error) { return m.n.alloc.Alloc(0, size) }
 func (m naiveMem) Free(addr txn.Addr) error            { return m.n.alloc.Free(addr) }
+func (m naiveMem) WillStore([]txn.Range)               {}
 
 func TestSweepDetectsNonAtomicEngine(t *testing.T) {
 	spec := EngineSpec{

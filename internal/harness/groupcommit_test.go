@@ -190,9 +190,11 @@ func TestBaselineFencesPerInsertExact(t *testing.T) {
 // pointers with one store each, so what it logs does not depend on how far
 // the run is. On clobber, position 0 (fifteen slots move) and position 14
 // (one slot moves) both write exactly three clobber entries — key run,
-// pointer run, nkeys — and 1 + 3 + 2 fences (begin, one per entry, commit and
-// status); an append overwrites no input but nkeys and writes one. pmdk's
-// undo-entry count is the same at every position too.
+// pointer run, nkeys — declared before the first store, so they cost 1 + 1 + 2
+// fences (begin, the declared batch, commit and status); an append
+// overwrites no input but nkeys and writes one, under the same four fences,
+// and so does the delete that takes each key out again. pmdk's undo-entry
+// count is the same at every position too, one fence per entry.
 func TestBPTreeInsertCostIndependentOfShift(t *testing.T) {
 	const refillFences = 3
 	for _, tc := range []struct {
@@ -203,7 +205,7 @@ func TestBPTreeInsertCostIndependentOfShift(t *testing.T) {
 		// fences is the fence count of an insert that wrote entries entries.
 		fences func(entries int64) int64
 	}{
-		{EngineClobber, 3, 1, func(entries int64) int64 { return 1 + entries + 2 }},
+		{EngineClobber, 3, 1, func(entries int64) int64 { return 1 + min(entries, 1) + 2 }},
 		{EnginePMDK, -1, -1, func(entries int64) int64 { return 1 + entries + 1 + 1 }},
 	} {
 		t.Run(string(tc.engine), func(t *testing.T) {
@@ -222,23 +224,32 @@ func TestBPTreeInsertCostIndependentOfShift(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// insert measures one insert into the 15-key leaf and takes the
-			// key out again.
-			insert := func(i int) (entries int64) {
+			// measure runs op and checks its fences against its entries.
+			measure := func(what string, i int, op func() error) (entries int64) {
 				t.Helper()
 				s0, p0 := setup.Engine.Stats().Snapshot(), setup.Pool.Stats()
 				_, _, _, r0 := setup.Alloc.Stats().Snapshot()
-				if err := store.Insert(0, key(i), val); err != nil {
-					t.Fatal(err)
+				if err := op(); err != nil {
+					t.Fatalf("%s of key %d: %v", what, i, err)
 				}
 				entries = setup.Engine.Stats().Snapshot().LogEntries - s0.LogEntries
 				_, _, _, r1 := setup.Alloc.Stats().Snapshot()
 				if got, want := setup.Pool.Stats().Sub(p0).Fences, tc.fences(entries)+refillFences*(r1-r0); got != want {
-					t.Fatalf("insert of key %d: %d fences, want %d (%d log entries, %d refills)", i, got, want, entries, r1-r0)
+					t.Fatalf("%s of key %d: %d fences, want %d (%d log entries, %d refills)", what, i, got, want, entries, r1-r0)
 				}
-				if ok, err := store.Delete(0, key(i)); err != nil || !ok {
-					t.Fatalf("delete of key %d: ok=%v err=%v", i, ok, err)
-				}
+				return entries
+			}
+			// insert measures one insert into the 15-key leaf, and the delete
+			// that takes the key out again.
+			insert := func(i int) (entries int64) {
+				t.Helper()
+				entries = measure("insert", i, func() error { return store.Insert(0, key(i), val) })
+				measure("delete", i, func() error {
+					if ok, err := store.Delete(0, key(i)); err != nil || !ok {
+						return fmt.Errorf("ok=%v err=%v", ok, err)
+					}
+					return nil
+				})
 				return entries
 			}
 			front, back, appended := insert(0), insert(29), insert(99)

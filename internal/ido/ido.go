@@ -151,6 +151,9 @@ func (t *tracer) Alloc(size uint64) (txn.Addr, error) {
 
 func (t *tracer) Free(addr txn.Addr) error { return t.alloc.Free(addr) }
 
+// WillStore implements txn.Mem: region boundaries are found at the stores.
+func (t *tracer) WillStore([]txn.Range) {}
+
 // String describes the meter configuration.
 func (m *Meter) String() string {
 	return fmt.Sprintf("ido meter (boundary record = %d B)", RegisterSnapshotBytes+StackSlotBytes)

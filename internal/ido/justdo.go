@@ -76,3 +76,6 @@ func (j justdoMem) Store64(addr uint64, v uint64) {
 
 func (j justdoMem) Alloc(size uint64) (txn.Addr, error) { return j.alloc.Alloc(0, size) }
 func (j justdoMem) Free(addr txn.Addr) error            { return j.alloc.Free(addr) }
+
+// WillStore implements txn.Mem: JUSTDO logs every store as it runs.
+func (j justdoMem) WillStore([]txn.Range) {}

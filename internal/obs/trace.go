@@ -40,6 +40,11 @@ const (
 	// KindRecovery marks a transaction completed during crash recovery:
 	// re-executed (clobber) or rolled back (undo/atlas).
 	KindRecovery
+	// KindClobberDeclared records a clobber_log entry for a range the
+	// txfunc declared before storing to it (txn.Mem.WillStore): Bytes as
+	// for KindClobberLog, which then counts only what the run-time check
+	// found undeclared.
+	KindClobberDeclared
 )
 
 var kindNames = [...]string{
@@ -51,6 +56,8 @@ var kindNames = [...]string{
 	KindCommit:     "commit",
 	KindAbort:      "abort",
 	KindRecovery:   "recovery",
+
+	KindClobberDeclared: "clobber_declared",
 }
 
 func (k Kind) String() string {

@@ -98,12 +98,14 @@ func bptSlotKey(slot []byte) []byte {
 	return slot[8:end:end]
 }
 
-// bptCtx is one operation's view of the tree: the Mem it runs on and the
+// bptCtx is one operation's view of the tree: the Mem it runs on, the
 // volatile scratch in which key runs are compared and new node images are
-// built. Contexts are pooled, so neither a search nor a shift allocates.
+// built, and the ranges an edit declares. Contexts are pooled, so neither a
+// search nor a shift allocates.
 type bptCtx struct {
-	m   txn.Mem
-	buf [bptOrder * bptKeySlot]byte
+	m    txn.Mem
+	buf  [bptOrder * bptKeySlot]byte
+	decl [3]txn.Range
 }
 
 var bptCtxPool = sync.Pool{New: func() any { return new(bptCtx) }}
@@ -139,6 +141,19 @@ func (c *bptCtx) search(n txn.Addr, key []byte) (i int, exact bool, nk int) {
 	}
 	exact = lo < nk && bytes.Equal(bptSlotKey(run[lo*bptKeySlot:]), key)
 	return lo, exact, nk
+}
+
+// declareShift declares, before the first store, what an edit of node n
+// overwrites: key slots [k0, k1), pointer slots [p0, p1) and the key count —
+// exactly the inputs the edit's stores clobber, so the engine can log all
+// three under one fence. An empty run declares nothing.
+func (c *bptCtx) declareShift(n txn.Addr, k0, k1, p0, p1 int) {
+	c.decl = [3]txn.Range{
+		{Addr: bptKeyAddr(n, k0), Len: uint64(k1-k0) * bptKeySlot},
+		{Addr: bptPtrAddr(n, p0), Len: uint64(p1-p0) * 8},
+		{Addr: n + bptNKeys, Len: 8},
+	}
+	c.m.WillStore(c.decl[:])
 }
 
 // insertAt puts elem at index i of the array of len(elem)-byte elements at
@@ -266,6 +281,7 @@ func (t *BPTree) register() {
 		if !exact {
 			return nil
 		}
+		c.declareShift(leaf, i, nk-1, i, nk-1)
 		kv := m.Load64(bptPtrAddr(leaf, i))
 		// clobber: each run moves down one place over its own old image, one
 		// entry per array however far the shift reaches.
@@ -295,7 +311,7 @@ func (t *BPTree) newNode(m txn.Mem, leaf bool) (txn.Addr, error) {
 // separator key and the new right sibling for the parent to absorb.
 func (t *BPTree) insertRec(c *bptCtx, n txn.Addr, key, val []byte) ([]byte, txn.Addr, error) {
 	if c.m.Load64(n+bptIsLeaf) == 1 {
-		return t.insertLeaf(c, n, key, val)
+		return t.insertLeaf(c, n, key, val, false)
 	}
 	i, exact, _ := c.search(n, key)
 	if exact {
@@ -306,14 +322,18 @@ func (t *BPTree) insertRec(c *bptCtx, n txn.Addr, key, val []byte) ([]byte, txn.
 	if err != nil || newChild == 0 {
 		return nil, 0, err
 	}
-	return t.insertInternal(c, n, i, sep, newChild)
+	return t.insertInternal(c, n, i, sep, newChild, false)
 }
 
-// insertLeaf puts (key, val) into leaf n, splitting if full.
-func (t *BPTree) insertLeaf(c *bptCtx, n txn.Addr, key, val []byte) ([]byte, txn.Addr, error) {
+// insertLeaf puts (key, val) into leaf n, splitting if full. halved says n
+// has just handed its upper half to a new sibling, so the slot past its key
+// run still holds a key this transaction read: a shift overwrites it too.
+func (t *BPTree) insertLeaf(c *bptCtx, n txn.Addr, key, val []byte, halved bool) ([]byte, txn.Addr, error) {
 	m := c.m
 	i, exact, nk := c.search(n, key)
 	if exact {
+		c.decl[0] = txn.Range{Addr: bptPtrAddr(n, i), Len: 8}
+		m.WillStore(c.decl[:1])
 		old := m.Load64(bptPtrAddr(n, i))
 		kv, err := kvWrite(m, key, val)
 		if err != nil {
@@ -323,12 +343,19 @@ func (t *BPTree) insertLeaf(c *bptCtx, n txn.Addr, key, val []byte) ([]byte, txn
 		return nil, 0, m.Free(old)
 	}
 	if nk < bptOrder {
+		// clobber: the old runs [i, nk) are inputs the new images overwrite,
+		// one entry each, declared with nkeys before the first store. Slot nk
+		// was never read unless n was just halved, so an append to a leaf
+		// that was not logs nkeys alone.
+		end := nk
+		if halved {
+			end++
+		}
+		c.declareShift(n, i, end, i, end)
 		kv, err := kvWrite(m, key, val)
 		if err != nil {
 			return nil, 0, err
 		}
-		// clobber: the old runs [i, nk) are inputs the new images overwrite,
-		// one entry each; slot nk was never read and an append logs neither.
 		c.insertKey(n, i, nk, key)
 		c.insertPtr(n, i, nk, kv)
 		m.Store64(n+bptNKeys, uint64(nk+1)) // clobber: occupancy counter
@@ -355,18 +382,23 @@ func (t *BPTree) insertLeaf(c *bptCtx, n txn.Addr, key, val []byte) ([]byte, txn
 	if bytes.Compare(key, sep) >= 0 {
 		target = right
 	}
-	if _, _, err := t.insertLeaf(c, target, key, val); err != nil {
+	if _, _, err := t.insertLeaf(c, target, key, val, target == n); err != nil {
 		return nil, 0, err
 	}
 	return sep, right, nil
 }
 
 // insertInternal absorbs a child split (sep, newChild) at position i of
-// internal node n, splitting n itself if full.
-func (t *BPTree) insertInternal(c *bptCtx, n txn.Addr, i int, sep []byte, newChild txn.Addr) ([]byte, txn.Addr, error) {
+// internal node n, splitting n itself if full. halved is insertLeaf's.
+func (t *BPTree) insertInternal(c *bptCtx, n txn.Addr, i int, sep []byte, newChild txn.Addr, halved bool) ([]byte, txn.Addr, error) {
 	m := c.m
 	nk := int(m.Load64(n + bptNKeys))
 	if nk < bptOrder {
+		end := nk
+		if halved {
+			end++
+		}
+		c.declareShift(n, i, end, i+1, end+1)
 		c.insertKey(n, i, nk, sep)          // clobber: key run [i, nk)
 		c.insertPtr(n, i+1, nk+1, newChild) // clobber: pointer run [i+1, nk]
 		m.Store64(n+bptNKeys, uint64(nk+1)) // clobber
@@ -389,11 +421,11 @@ func (t *BPTree) insertInternal(c *bptCtx, n txn.Addr, i int, sep []byte, newChi
 
 	// Insert (sep, newChild) into the appropriate half.
 	if i <= mid {
-		if _, _, err := t.insertInternal(c, n, i, sep, newChild); err != nil {
+		if _, _, err := t.insertInternal(c, n, i, sep, newChild, true); err != nil {
 			return nil, 0, err
 		}
 	} else {
-		if _, _, err := t.insertInternal(c, right, i-mid-1, sep, newChild); err != nil {
+		if _, _, err := t.insertInternal(c, right, i-mid-1, sep, newChild, false); err != nil {
 			return nil, 0, err
 		}
 	}

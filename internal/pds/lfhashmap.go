@@ -239,6 +239,7 @@ func (m lfMem) Alloc(size uint64) (txn.Addr, error) {
 	return m.alloc.Alloc(m.hint, size)
 }
 func (m lfMem) Free(addr txn.Addr) error { return m.alloc.Free(addr) }
+func (m lfMem) WillStore([]txn.Range)    {}
 
 func (h *LFHashMap) mem(slot int) lfMem { return lfMem{h.pool, h.alloc, slot} }
 

@@ -12,9 +12,10 @@
 //
 // Entries are validated by sequence number and checksum rather than by a
 // persistent count, so appending an entry costs exactly one flush set plus
-// one fence (or zero fences for best-effort logs). A scan stops at the first
-// entry whose checksum or sequence number does not match, which makes torn
-// tail entries invisible — the same trick PMDK's ulog uses.
+// one fence (or zero fences for best-effort logs), and a group of entries
+// that no fence separates costs one fence for the group. A scan stops at the
+// first entry whose checksum or sequence number does not match, which makes
+// torn tail entries invisible — the same trick PMDK's ulog uses.
 package plog
 
 import (
@@ -54,7 +55,7 @@ const (
 	// crash-rebuild path needs no restated flag.
 	dataLogMagicLine = 0x4c4c4f47 // "LLOG"
 
-	entryHeaderSize  = 24 // seq(8) addr(8) len(4) pad(4)
+	entryHeaderSize  = 24 // seq(8) addr(8) len(4) group(4)
 	entryTrailerSize = 8  // checksum
 
 	// Line-writer layout: every 64-byte line carries 56 bytes (7 words) of
@@ -74,6 +75,13 @@ const (
 
 // checksum mixes the entry header, payload and slot identity.
 func checksum(seq, addr uint64, slot uint32, payload []byte) uint64 {
+	return entryChecksum(seq, addr, slot, 0, payload)
+}
+
+// entryChecksum is checksum with the entry's group tag, mixed in only when
+// it is set, so an entry outside a group keeps the checksum it had before
+// groups existed.
+func entryChecksum(seq, addr uint64, slot, group uint32, payload []byte) uint64 {
 	h := uint64(0xcbf29ce484222325)
 	mix := func(v uint64) {
 		h ^= v
@@ -83,6 +91,9 @@ func checksum(seq, addr uint64, slot uint32, payload []byte) uint64 {
 	mix(seq)
 	mix(addr)
 	mix(uint64(slot))
+	if group != 0 {
+		mix(uint64(group))
+	}
 	mix(uint64(len(payload)))
 	for i := 0; i+8 <= len(payload); i += 8 {
 		mix(binary.LittleEndian.Uint64(payload[i:]))
@@ -245,7 +256,20 @@ type AppendOptions struct {
 	// NoFence skips the trailing fence (redo logs fence once at commit
 	// instead of per entry).
 	NoFence bool
+	// Group, when nonzero, is the tag GroupTag returned as the caller
+	// opened a group: entries appended with NoFence that one fence makes
+	// durable together. A crash before that fence can persist any subset
+	// of them, so each member carries the tag, and ScanStrict reads a torn
+	// member as the end of the log rather than as damage. Line-mode logs
+	// ignore it: their scans never convict.
+	Group uint32
 }
+
+// GroupTag opens a group of appends (see AppendOptions.Group) and returns
+// the tag its members carry: the group's start offset in 8-byte words, plus
+// one so that no tag is zero. Past 32 GiB of log the tag wraps, which can
+// only make ScanStrict more lenient, never convict a healthy log.
+func (l *DataLog) GroupTag() uint32 { return uint32((l.off>>3)%(1<<32-1)) + 1 }
 
 // grow returns l.scratch resized to n bytes (reallocating only on growth).
 func (l *DataLog) grow(n int) []byte {
@@ -257,13 +281,13 @@ func (l *DataLog) grow(n int) []byte {
 
 // encode writes one entry image (header, payload, checksum) into buf, which
 // must be entryHeaderSize+len(payload)+entryTrailerSize bytes.
-func (l *DataLog) encode(buf []byte, seq, addr uint64, payload []byte) {
+func (l *DataLog) encode(buf []byte, seq, addr uint64, group uint32, payload []byte) {
 	binary.LittleEndian.PutUint64(buf[0:], seq)
 	binary.LittleEndian.PutUint64(buf[8:], addr)
 	binary.LittleEndian.PutUint32(buf[16:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[20:], 0)
+	binary.LittleEndian.PutUint32(buf[20:], group)
 	copy(buf[entryHeaderSize:], payload)
-	binary.LittleEndian.PutUint64(buf[entryHeaderSize+len(payload):], checksum(seq, addr, l.slot, payload))
+	binary.LittleEndian.PutUint64(buf[entryHeaderSize+len(payload):], entryChecksum(seq, addr, l.slot, group, payload))
 }
 
 // Append logs payload for persistent address addr under sequence seq.
@@ -290,7 +314,7 @@ func (l *DataLog) Append(seq, addr uint64, payload []byte, opts AppendOptions) (
 	at := l.base + l.off
 	p := l.pool
 	buf := l.grow(int(need) + 8)
-	l.encode(buf, seq, addr, payload)
+	l.encode(buf, seq, addr, opts.Group, payload)
 	for i := raw; i < len(buf); i++ {
 		buf[i] = 0 // alignment pad + next-header terminator
 	}
@@ -336,7 +360,7 @@ func (l *DataLog) AppendBatch(seq uint64, entries []BatchEntry, opts AppendOptio
 	pos := 0
 	for _, e := range entries {
 		raw := entryHeaderSize + len(e.Data) + entryTrailerSize
-		l.encode(buf[pos:pos+raw], seq, e.Addr, e.Data)
+		l.encode(buf[pos:pos+raw], seq, e.Addr, 0, e.Data)
 		padded := (raw + 7) &^ 7
 		for i := pos + raw; i < pos+padded; i++ {
 			buf[i] = 0
@@ -613,13 +637,14 @@ func (l *DataLog) scanFrom(seq uint64) ([]Entry, uint64) {
 		eseq := binary.LittleEndian.Uint64(hdr[0:])
 		addr := binary.LittleEndian.Uint64(hdr[8:])
 		plen := uint64(binary.LittleEndian.Uint32(hdr[16:]))
+		group := binary.LittleEndian.Uint32(hdr[20:])
 		if eseq != seq || off+entryHeaderSize+plen+entryTrailerSize > l.cap {
 			break
 		}
 		payload := make([]byte, plen)
 		p.Load(at+entryHeaderSize, payload)
 		want := p.Load64(at + entryHeaderSize + plen)
-		if want != checksum(eseq, addr, l.slot, payload) {
+		if want != entryChecksum(eseq, addr, l.slot, group, payload) {
 			break
 		}
 		out = append(out, Entry{Addr: addr, Data: payload})
@@ -629,13 +654,15 @@ func (l *DataLog) scanFrom(seq uint64) ([]Entry, uint64) {
 }
 
 // ScanStrict is Scan with corruption detection for fence-ordered logs (every
-// entry fenced before the next append starts). Under that discipline the
-// only invalid entry a crash can produce is a torn tail: nothing valid can
-// exist beyond the first invalid entry. ScanStrict probes past the stop
-// point, and if it finds a complete valid entry for the same sequence it
-// reports txn.ErrCorruptLog — the prefix was damaged after being written.
-// It must NOT be used on best-effort logs (unfenced appends), where eviction
-// luck makes a valid-after-invalid pattern legitimate.
+// entry, or every group of entries, fenced before the next append starts).
+// Under that discipline the only invalid entry a crash can produce lies in
+// the last, unfenced append: nothing valid can exist beyond the first
+// invalid entry except members of that entry's own group. ScanStrict probes
+// past the stop point, and if it finds a complete valid entry for the same
+// sequence that is no member of a group open at the stop point, it reports
+// txn.ErrCorruptLog — the prefix was damaged after being fenced. It must
+// NOT be used on best-effort logs (unfenced appends outside groups), where
+// eviction luck makes a valid-after-invalid pattern legitimate.
 func (l *DataLog) ScanStrict(seq uint64) ([]Entry, error) {
 	if l.line {
 		// Line mode appends with FlushOpt per line, so eviction luck can
@@ -675,12 +702,18 @@ func (l *DataLog) ScanStrict(seq uint64) ([]Entry, error) {
 		}
 		addr := binary.LittleEndian.Uint64(hdr[8:])
 		plen := uint64(binary.LittleEndian.Uint32(hdr[16:]))
+		group := binary.LittleEndian.Uint32(hdr[20:])
 		if off+entryHeaderSize+plen+entryTrailerSize > l.cap {
 			continue
 		}
 		payload := make([]byte, plen)
 		p.Load(at+entryHeaderSize, payload)
-		if p.Load64(at+entryHeaderSize+plen) != checksum(eseq, addr, l.slot, payload) {
+		if p.Load64(at+entryHeaderSize+plen) != entryChecksum(eseq, addr, l.slot, group, payload) {
+			continue
+		}
+		if group != 0 && uint64(group-1)<<3 <= stop {
+			// A member of the group the torn entry belongs to: no fence
+			// separated them, so the crash was free to keep this one.
 			continue
 		}
 		return out, fmt.Errorf("%w: data log slot %d: valid entry for seq %d at offset %#x beyond torn entry at %#x",

@@ -302,6 +302,9 @@ func (m *mem) Free(addr txn.Addr) error {
 	return m.s.Free(addr)
 }
 
+// WillStore implements txn.Mem: a redo log needs no pre-images.
+func (m *mem) WillStore([]txn.Range) {}
+
 type wrange struct {
 	addr uint64
 	data []byte

@@ -54,6 +54,19 @@ type Mem interface {
 	// Free releases a persistent allocation. Engines defer the actual
 	// release to commit so that interrupted transactions can recover.
 	Free(addr Addr) error
+	// WillStore declares ranges the transaction is about to overwrite,
+	// before its first store to any of them: the batched form of the
+	// clobber_log callback the compiler pass inserts before each clobber
+	// write. An engine may log them all under one fence instead of one per
+	// store, or ignore the call. A declaration never replaces detection:
+	// an undeclared clobber is still found and logged at its store.
+	WillStore(ranges []Range)
+}
+
+// Range is the persistent byte range [Addr, Addr+Len).
+type Range struct {
+	Addr Addr
+	Len  uint64
 }
 
 // TxFunc is a registered transaction function (the paper's txfunc). It must

@@ -145,7 +145,7 @@ func (m *mem) preStore(addr, n uint64) {
 		}
 	}
 	if need {
-		m.s.LogUndo(addr, n, obs.KindLogAppend)
+		m.s.LogUndo([]txn.Range{{Addr: addr, Len: n}}, obs.KindLogAppend)
 		for l := u1 >> 3; l <= u2>>3; l++ {
 			m.t.MarkLogged(l, chassis.Words(l, u1, u2))
 		}
@@ -154,3 +154,6 @@ func (m *mem) preStore(addr, n uint64) {
 
 func (m *mem) Alloc(size uint64) (txn.Addr, error) { return m.s.Alloc(size) }
 func (m *mem) Free(addr txn.Addr) error            { return m.s.Free(addr) }
+
+// WillStore implements txn.Mem: PMDK logs each store's range as it runs.
+func (m *mem) WillStore([]txn.Range) {}
